@@ -6,7 +6,6 @@ decision-or-conflict determination, belief-driven data-source routing, and a
 replay harness that fuses time-stamped sensor evidence.
 """
 
-from ._kernels import BACKEND
 from .combine import (
     CombinationReport,
     combine,
@@ -60,6 +59,9 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+#: the numeric backend; NumPy is the only one
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,50 +1,25 @@
-"""Numeric kernels behind mass-function queries and the orthogonal sum.
-
-Two interchangeable backends: numba ``@njit`` loops (default) and a pure
-NumPy path. Set ``EVIDENT_PURE_NUMPY=1`` to force the NumPy path; it is also
-used automatically when numba is not importable.
+"""NumPy kernels behind mass-function queries and the orthogonal sum.
 
 Focal sets are passed as a uint64 bitmask array plus an aligned float64 mass
-array. Both backends accumulate in the identical order (ascending focal
-index, row-major over focal pairs), so results are bit-for-bit equal across
-backends and traces stay byte-stable whichever one is active.
-
-``np_*`` names are the NumPy implementations and ``nb_*`` the jitted ones
-(None when unavailable); the unprefixed aliases are the active backend.
+array.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-FORCE_NUMPY = os.environ.get("EVIDENT_PURE_NUMPY", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
 
-
-def np_belief_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
+def belief_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
     """Total mass of focals contained in ``target``."""
-    picked = masses[(bits & ~target) == 0]
-    if picked.size == 0:
-        return 0.0
-    # cumsum is a sequential scan, matching the njit loop's rounding
-    return float(np.cumsum(picked)[-1])
+    return float(masses[(bits & ~target) == 0].sum())
 
 
-def np_plausibility_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
+def plausibility_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
     """Total mass of focals intersecting ``target``."""
-    picked = masses[(bits & target) != 0]
-    if picked.size == 0:
-        return 0.0
-    return float(np.cumsum(picked)[-1])
+    return float(masses[(bits & target) != 0].sum())
 
 
-def np_combine_products(
+def combine_products(
     bits1: np.ndarray, w1: np.ndarray, bits2: np.ndarray, w2: np.ndarray
 ):
     """Grouped pairwise intersection products of two focal sets.
@@ -56,103 +31,5 @@ def np_combine_products(
     inter = (bits1[:, None] & bits2[None, :]).ravel()
     prod = (w1[:, None] * w2[None, :]).ravel()
     group_bits, inverse = np.unique(inter, return_inverse=True)
-    # bincount adds weights in input order: same order as the njit loop
     group_sums = np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
     return group_bits, group_sums
-
-
-def _loop_belief_sum(bits, masses, target):
-    acc = 0.0
-    outside = ~target
-    for i in range(bits.shape[0]):
-        if bits[i] & outside == 0:
-            acc += masses[i]
-    return acc
-
-
-def _loop_plausibility_sum(bits, masses, target):
-    acc = 0.0
-    for i in range(bits.shape[0]):
-        if bits[i] & target != 0:
-            acc += masses[i]
-    return acc
-
-
-def _loop_accumulate_products(bits1, w1, bits2, w2):
-    """Group pairwise products by intersection, groups in discovery order.
-
-    Open-addressing table keyed by the intersection bitmask; contributions
-    land per group in row-major pair order, rounding exactly like
-    np.bincount on the numpy path (sorting afterwards only reorders groups).
-    """
-    n1 = bits1.shape[0]
-    n2 = bits2.shape[0]
-    total = n1 * n2
-    capacity = 4
-    while capacity < 2 * total:
-        capacity <<= 1
-    mask = np.uint64(capacity - 1)
-    scramble = np.uint64(0x9E3779B97F4A7C15)
-    table_used = np.zeros(capacity, np.uint8)
-    table_keys = np.zeros(capacity, np.uint64)
-    table_slot = np.zeros(capacity, np.int64)
-    keys = np.empty(total, np.uint64)
-    sums = np.zeros(total, np.float64)
-    n_groups = 0
-    one = np.uint64(1)
-    for i in range(n1):
-        for j in range(n2):
-            value = bits1[i] & bits2[j]
-            contribution = w1[i] * w2[j]
-            h = (value * scramble) & mask
-            while True:
-                if table_used[h] == 0:
-                    table_used[h] = 1
-                    table_keys[h] = value
-                    table_slot[h] = n_groups
-                    keys[n_groups] = value
-                    sums[n_groups] = contribution
-                    n_groups += 1
-                    break
-                if table_keys[h] == value:
-                    sums[table_slot[h]] += contribution
-                    break
-                h = (h + one) & mask
-    return keys[:n_groups], sums[:n_groups]
-
-
-nb_belief_sum = None
-nb_plausibility_sum = None
-nb_combine_products = None
-NUMBA_AVAILABLE = False
-
-if not FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        nb_belief_sum = njit(cache=True)(_loop_belief_sum)
-        nb_plausibility_sum = njit(cache=True)(_loop_plausibility_sum)
-        _nb_accumulate_products = njit(cache=True)(_loop_accumulate_products)
-
-        def nb_combine_products(bits1, w1, bits2, w2):
-            # accumulation is the hot loop and stays jitted; the final
-            # ordering of the (few) groups goes through numpy's much faster
-            # argsort
-            keys, sums = _nb_accumulate_products(bits1, w1, bits2, w2)
-            order = np.argsort(keys)
-            return keys[order], sums[order]
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-if NUMBA_AVAILABLE:
-    BACKEND = "numba"
-    belief_sum = nb_belief_sum
-    plausibility_sum = nb_plausibility_sum
-    combine_products = nb_combine_products
-else:
-    BACKEND = "numpy"
-    belief_sum = np_belief_sum
-    plausibility_sum = np_plausibility_sum
-    combine_products = np_combine_products

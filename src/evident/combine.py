@@ -65,6 +65,13 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
 
     Commutative, with the vacuous distribution as identity. Raises
     :class:`TotalConflict` when the evidence is flatly contradictory.
+
+    The surviving products are scaled by their own exact total rather than by
+    1 - conflict, so a result always totals 1 to rounding and error does not
+    compound along a fold. ``conflict`` is the product mass on the empty set
+    as computed from the inputs; when their totals are off 1 by rounding
+    (they are accepted within ``NORMALIZATION_TOL``) it is not rescaled, and
+    so is off the conflict of exactly normalised inputs by the same order.
     """
     _check_frames(m1, m2)
     a, b = _ordered(m1, m2)
@@ -77,9 +84,9 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
         group_sums = group_sums[1:]
     else:
         conflict = 0.0
-    if conflict >= 1.0 - TOTAL_CONFLICT_TOL:
+    if conflict >= 1.0 - TOTAL_CONFLICT_TOL or not group_bits.shape[0]:
         raise TotalConflict()
-    scaled = group_sums / (1.0 - conflict)
+    scaled = group_sums / math.fsum(group_sums.tolist())
     keep = scaled >= PRUNE_EPS
     result = MassFunction._from_arrays(
         m1.frame, group_bits[keep], scaled[keep]

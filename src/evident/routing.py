@@ -133,13 +133,11 @@ def poll(
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0 or math.isnan(threshold):
         raise DegreeOutOfRange(f"poll threshold {threshold!r} outside [0, 1]")
-    by_id = {}
     scored = []
     for src in sources:
         interval = answerability(query, src)
         if interval.plausibility >= threshold:
             scored.append((src, interval))
-            by_id[src.id] = src
     scored.sort(key=lambda pair: (-pair[1].support, pair[0].priority, pair[0].id))
     return [(src.id, interval) for src, interval in scored]
 

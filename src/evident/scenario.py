@@ -13,6 +13,7 @@ there is no hidden randomness, so a rerun is byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._jsonutil import parse_document, require
@@ -30,7 +31,7 @@ from .errors import (
     UnsortedReports,
 )
 from .frames import Frame, Proposition
-from .masses import EvidentialInterval, MassFunction, simple_support, vacuous
+from .masses import EvidentialInterval, simple_support, vacuous
 
 # slack when walking the step grid, so t0 + k*step lands on the last report
 _GRID_EPS = 1e-9
@@ -48,8 +49,8 @@ class SensorReport:
     def __post_init__(self):
         if not isinstance(self.sensor_id, str) or not self.sensor_id:
             raise InvalidReport("sensor id must be a non-empty string")
-        if not self.time >= 0.0:
-            raise InvalidReport(f"report time {self.time!r} must be >= 0")
+        if not 0.0 <= self.time < math.inf:
+            raise InvalidReport(f"report time {self.time!r} must be finite and >= 0")
         if self.focus.is_empty:
             raise EmptyFocus("report focus must be non-empty")
         if not 0.0 <= self.degree <= 1.0:
@@ -80,6 +81,10 @@ class Scenario:
         if not 0.0 <= self.discount_rate <= 1.0:
             raise FactorOutOfRange(
                 f"discount rate {self.discount_rate!r} outside [0, 1]"
+            )
+        if not 0.0 < self.conflict_threshold <= 1.0:
+            raise DegreeOutOfRange(
+                f"conflict threshold {self.conflict_threshold!r} outside (0, 1]"
             )
         reports = tuple(self.reports)
         for r in reports:
@@ -175,6 +180,9 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     if not scenario.reports:
         return []
     atoms = scenario.frame.atoms
+    # total conflict needs two disjoint focals, so the frame has two or more
+    # atoms and every singleton is vacuously [0, 1]
+    conflicted = tuple((a, EvidentialInterval(0.0, 1.0)) for a in atoms)
     t0 = scenario.reports[0].time
     t_end = scenario.reports[-1].time
     rows: list[TraceRow] = []
@@ -187,7 +195,7 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
             rows.append(
                 TraceRow(
                     time=t,
-                    intervals=_atom_intervals(vacuous(scenario.frame), atoms),
+                    intervals=conflicted,
                     cumulative_conflict=1.0,
                     status=DecisionStatus.CONFLICTED,
                     reason=HIGH_CONFLICT,
@@ -196,10 +204,11 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
             )
         else:
             decision = decide(report, scenario.conflict_threshold)
+            ranked = dict(decision.ranking)
             rows.append(
                 TraceRow(
                     time=t,
-                    intervals=_atom_intervals(report.result, atoms),
+                    intervals=tuple((a, ranked[a]) for a in atoms),
                     cumulative_conflict=report.conflict,
                     status=decision.status,
                     reason=decision.reason,
@@ -209,12 +218,6 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
         k += 1
         t = t0 + k * scenario.step
     return rows
-
-
-def _atom_intervals(
-    m: MassFunction, atoms: tuple[str, ...]
-) -> tuple[tuple[str, EvidentialInterval], ...]:
-    return tuple((a, m.interval(m.frame.singleton(a))) for a in atoms)
 
 
 def _status_label(row: TraceRow) -> str:

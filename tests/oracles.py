@@ -61,6 +61,29 @@ def combine_oracle(
     return {h: v / (1.0 - conflict) for h, v in raw.items()}, conflict
 
 
+def fold_oracle(
+    maps: list[dict[frozenset, float]],
+) -> tuple[dict[frozenset, float], float]:
+    """Orthogonal sum of many focal maps, normalized once at the end.
+
+    Folds the unnormalized conjunctive products over frozensets and divides
+    by the surviving total only after the last input, so no per-step
+    rescaling can compound. Returns (normalized focal map, cumulative
+    conflict); the caller rules out total conflict.
+    """
+    acc = dict(maps[0])
+    for m in maps[1:]:
+        nxt: dict[frozenset, float] = {}
+        for h1, v1 in acc.items():
+            for h2, v2 in m.items():
+                inter = h1 & h2
+                if inter:
+                    nxt[inter] = nxt.get(inter, 0.0) + v1 * v2
+        acc = nxt
+    kept = math.fsum(acc.values())
+    return {h: v / kept for h, v in acc.items()}, 1.0 - kept
+
+
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 6) -> MassFunction:
     """A random normalized mass function over non-empty propositions."""
     n = len(frame)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from evident.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -95,6 +99,40 @@ class TestRun:
         empty = tmp_path / "empty.json"
         empty.write_text('{"frame": ["lake"], "reports": []}')
         assert main(["run", str(empty)]) == 1
+
+    def test_infinite_report_time_exits_1(self, tmp_path):
+        # json.loads accepts Infinity; unchecked, the step grid never ends
+        doc = json.loads((DATA / "lake_tower.json").read_text())
+        doc["reports"].append(
+            {"sensor": "eo", "t": float("inf"), "focus": ["lake"], "degree": 0.5}
+        )
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        assert '"t": Infinity' in path.read_text()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "evident", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
+    def test_zero_conflict_threshold_exits_1(self, tmp_path, capsys):
+        doc = json.loads((DATA / "lake_tower.json").read_text())
+        doc["conflict_threshold"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: conflict threshold 0.0")
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "no-such-file.json"]) == 2

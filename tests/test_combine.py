@@ -7,9 +7,10 @@ oracles.py; closed forms are additionally checked symbolically.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evident import (
@@ -25,7 +26,13 @@ from evident import (
 from evident.errors import FactorOutOfRange, FrameMismatch, TotalConflict
 
 from .conftest import frames, mass_on
-from .oracles import combine_oracle, focal_map
+from .oracles import (
+    bel_oracle,
+    combine_oracle,
+    focal_map,
+    fold_oracle,
+    pl_oracle,
+)
 
 
 def lake_tower_pair(frame):
@@ -86,6 +93,13 @@ class TestCombine:
     def test_total_conflict_raises(self, lt_frame):
         m1 = simple_support(lt_frame, lt_frame.proposition(["lake"]), 1.0)
         m2 = simple_support(lt_frame, lt_frame.proposition(["tower"]), 1.0)
+        with pytest.raises(TotalConflict):
+            combine(m1, m2)
+        # totals accepted within NORMALIZATION_TOL put the conflict below
+        # 1 - TOTAL_CONFLICT_TOL, yet nothing survives
+        short = 1.0 - 5e-10
+        m1 = mass_new(lt_frame, [(lt_frame.proposition(["lake"]), short)])
+        m2 = mass_new(lt_frame, [(lt_frame.proposition(["tower"]), short)])
         with pytest.raises(TotalConflict):
             combine(m1, m2)
 
@@ -227,6 +241,41 @@ class TestCombineAll:
         _, k2 = combine_oracle(step1, focal_map(chain[2]))
         expected = 1.0 - (1.0 - k1) * (1.0 - k2)
         assert combine_all(chain).conflict == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(200, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_long_fold_stays_normalized(self, n_atoms, length, seed):
+        # rounding must not compound along the fold: 200+ supports once
+        # drifted past NORMALIZATION_TOL and raised NotNormalized
+        rng = random.Random(seed)
+        frame = Frame([f"a{i}" for i in range(n_atoms)])
+        chain = [
+            simple_support(
+                frame,
+                frame.proposition(
+                    rng.sample(frame.atoms, rng.randint(1, max(1, n_atoms // 2)))
+                ),
+                rng.uniform(0.05, 0.6),
+            )
+            for _ in range(length)
+        ]
+        report = combine_all(chain)
+        got = focal_map(report.result)
+        assert math.fsum(got.values()) == pytest.approx(1.0, abs=1e-12)
+        expected, expected_conflict = fold_oracle([focal_map(m) for m in chain])
+        assert report.conflict == pytest.approx(expected_conflict, abs=1e-9)
+        for h in set(got) | set(expected):
+            assert got.get(h, 0.0) == pytest.approx(expected.get(h, 0.0), abs=1e-9)
+        for atom in frame.atoms:
+            a = frozenset((atom,))
+            bel, pl = report.result.interval(frame.singleton(atom))
+            assert 0.0 <= bel <= pl <= 1.0
+            assert bel == pytest.approx(bel_oracle(expected, a), abs=1e-9)
+            assert pl == pytest.approx(pl_oracle(expected, a), abs=1e-9)
 
     def test_total_conflict_reports_index(self, lt_frame):
         lake = lt_frame.proposition(["lake"])

@@ -1,76 +1,10 @@
-"""Backend parity: the njit kernels and the numpy fallback must agree bit-for-bit."""
+"""The NumPy kernels on full-width (64-atom) bitmasks."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from evident import _kernels as K
-
-needs_numba = pytest.mark.skipif(
-    not K.NUMBA_AVAILABLE, reason="numba not importable"
-)
-
-
-def random_focals(rng, n_atoms: int, count: int):
-    full = (1 << n_atoms) - 1
-    bits = np.sort(
-        np.array(rng.choice(np.arange(1, full + 1), size=count, replace=False), np.uint64)
-    )
-    weights = rng.random(count)
-    weights /= weights.sum()
-    return bits, weights
-
-
-@needs_numba
-def test_combine_products_bit_identical():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        full = (1 << n) - 1
-        b1, w1 = random_focals(rng, n, int(rng.integers(1, min(6, full) + 1)))
-        b2, w2 = random_focals(rng, n, int(rng.integers(1, min(6, full) + 1)))
-        nb_bits, nb_sums = K.nb_combine_products(b1, w1, b2, w2)
-        np_bits, np_sums = K.np_combine_products(b1, w1, b2, w2)
-        assert np.array_equal(nb_bits, np_bits)
-        assert np.array_equal(nb_sums, np_sums)  # exact, not approx
-
-
-@needs_numba
-def test_belief_and_plausibility_bit_identical():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        full = (1 << n) - 1
-        bits, weights = random_focals(rng, n, int(rng.integers(1, min(8, full) + 1)))
-        target = np.uint64(rng.integers(0, full + 1))
-        assert K.nb_belief_sum(bits, weights, target) == K.np_belief_sum(
-            bits, weights, target
-        )
-        assert K.nb_plausibility_sum(bits, weights, target) == K.np_plausibility_sum(
-            bits, weights, target
-        )
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, EVIDENT_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import evident; print(evident.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_default_backend_is_numba():
-    assert K.BACKEND == "numba"
 
 
 def test_sixty_four_atom_masks_supported():

@@ -336,6 +336,11 @@ class TestFileFormats:
         with pytest.raises(DuplicateSourceId):
             load_sources(text)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_rejected(self, constant):
+        with pytest.raises(ParseError, match="non-finite"):
+            load_sources(f'[{{"id": "dma", "schema": {{"altitude": {constant}}}}}]')
+
     def test_query_roundtrip(self):
         text = """
         {"op": "and", "children": [

@@ -102,14 +102,30 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario('{"frame": "lake", "reports": []}')
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, constant):
+        doc = (
+            '{"frame": ["lake"], "reports": [{"sensor": "eo", "t": %s,'
+            ' "focus": ["lake"], "degree": 0.5}]}' % constant
+        )
+        with pytest.raises(ParseError, match="non-finite"):
+            load_scenario(doc)
+
+    def test_conflict_threshold_validated(self):
+        for threshold in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(DegreeOutOfRange):
+                scenario_from(["lake"], [], conflict_threshold=threshold)
+        assert scenario_from(["lake"], [], conflict_threshold=1.0).conflict_threshold == 1.0
+
     def test_report_validation(self):
         frame = Frame(["lake"])
         with pytest.raises(DegreeOutOfRange):
             SensorReport("eo", 0.0, frame.proposition(["lake"]), 1.5)
         with pytest.raises(EmptyFocus):
             SensorReport("eo", 0.0, frame.empty(), 0.5)
-        with pytest.raises(InvalidReport):
-            SensorReport("eo", -1.0, frame.proposition(["lake"]), 0.5)
+        for time in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidReport):
+                SensorReport("eo", time, frame.proposition(["lake"]), 0.5)
 
 
 class TestRunScenario:
