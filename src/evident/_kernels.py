@@ -19,6 +19,24 @@ def plausibility_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) ->
     return float(masses[(bits & target) != 0].sum())
 
 
+def singleton_sums(
+    bits: np.ndarray, masses: np.ndarray, n_atoms: int
+) -> tuple[list[float], list[float]]:
+    """Belief and plausibility of every singleton, in atom order.
+
+    The atom x focal masks are built once; each row is then summed with the
+    same masked ``.sum()`` as :func:`belief_sum` and :func:`plausibility_sum`,
+    so every value is bit-identical to theirs.
+    """
+    atoms = np.left_shift(np.uint64(1), np.arange(n_atoms, dtype=np.uint64))
+    inside = (bits[None, :] & ~atoms[:, None]) == 0
+    meets = (bits[None, :] & atoms[:, None]) != 0
+    return (
+        [float(masses[row].sum()) for row in inside],
+        [float(masses[row].sum()) for row in meets],
+    )
+
+
 def combine_products(
     bits1: np.ndarray, w1: np.ndarray, bits2: np.ndarray, w2: np.ndarray
 ):

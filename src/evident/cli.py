@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ._jsonutil import parse_document, require
 from .combine import combine_all
-from .errors import EvidentError
+from .errors import EvidentError, ParseError
 from .frames import Frame
 from .masses import MassFunction
 from .routing import decompose, load_query, load_sources, poll
@@ -43,8 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """An input document's text; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+
+
 def _cmd_run(args) -> int:
-    scenario = load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = load_scenario(_read(args.scenario))
     if args.window is not None:
         scenario = dataclasses.replace(scenario, window=args.window)
     text = emit_trace(run_scenario(scenario), args.format)
@@ -79,22 +87,21 @@ def _load_masses(text: str) -> tuple[Frame, list[MassFunction]]:
 
 
 def _cmd_combine(args) -> int:
-    frame, masses = _load_masses(Path(args.masses).read_text(encoding="utf-8"))
+    frame, masses = _load_masses(_read(args.masses))
     report = combine_all(masses)
     print(f"conflict: {report.conflict:.6f}")
     print("mass:")
     for prop, mass in report.result.focals():
         print(f"  {prop!r}: {mass:.6f}")
     print("intervals:")
-    for atom in frame.atoms:
-        interval = report.result.interval(frame.singleton(atom))
+    for atom, interval in zip(frame.atoms, report.result.singleton_intervals()):
         print(f"  {atom}: [{interval.support:.6f}, {interval.plausibility:.6f}]")
     return 0
 
 
 def _cmd_route(args) -> int:
-    query = load_query(Path(args.query).read_text(encoding="utf-8"))
-    sources = load_sources(Path(args.sources).read_text(encoding="utf-8"))
+    query = load_query(_read(args.query))
+    sources = load_sources(_read(args.sources))
     shortlist = poll(query, sources, threshold=args.threshold)
     print("shortlist:")
     if not shortlist:

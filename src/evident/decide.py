@@ -88,8 +88,7 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     if not 0.0 < conflict_threshold <= 1.0:
         raise ValueError(f"conflict threshold {conflict_threshold!r} outside (0, 1]")
     m = report.result
-    frame = m.frame
-    intervals = [(atom, m.interval(frame.singleton(atom))) for atom in frame.atoms]
+    intervals = list(zip(m.frame.atoms, m.singleton_intervals()))
     ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))
     if report.conflict >= conflict_threshold:
         return Decision(

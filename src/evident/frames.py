@@ -70,7 +70,7 @@ class Frame:
         """Bit position of ``atom``, raising UnknownAtom for strangers."""
         try:
             return self._index[atom]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownAtom(f"atom {atom!r} is not in frame {list(self.atoms)}") from None
 
     def proposition(self, atoms: Iterable[str]) -> Proposition:

@@ -128,24 +128,34 @@ class MassFunction:
 
     # -- belief measures --------------------------------------------------------
 
+    # Belief and plausibility are clamped at 1: an accepted total of
+    # 1 + O(NORMALIZATION_TOL) must not leak past the bounds.
+
     def belief(self, prop: Proposition) -> float:
         """Total mass committed to ``prop``: sum over focals it contains."""
         self._check_frame(prop)
-        return float(_kernels.belief_sum(self._bits, self._masses, np.uint64(prop.bits)))
+        return min(
+            1.0, _kernels.belief_sum(self._bits, self._masses, np.uint64(prop.bits))
+        )
 
     def plausibility(self, prop: Proposition) -> float:
         """Degree to which the evidence fails to refute ``prop``."""
         self._check_frame(prop)
-        return float(
-            _kernels.plausibility_sum(self._bits, self._masses, np.uint64(prop.bits))
+        return min(
+            1.0, _kernels.plausibility_sum(self._bits, self._masses, np.uint64(prop.bits))
         )
 
     def interval(self, prop: Proposition) -> EvidentialInterval:
         """The evidential interval [belief, plausibility] of ``prop``."""
-        # clamp: an accepted total of 1 + O(tol) must not leak past the bounds
-        bel = min(1.0, self.belief(prop))
-        pl = min(1.0, self.plausibility(prop))
-        return EvidentialInterval(bel, pl)
+        return EvidentialInterval(self.belief(prop), self.plausibility(prop))
+
+    def singleton_intervals(self) -> list[EvidentialInterval]:
+        """The interval of every atom in frame order, from one pass.
+
+        Each equals ``interval(frame.singleton(atom))``, bit for bit.
+        """
+        bel, pl = _kernels.singleton_sums(self._bits, self._masses, len(self.frame))
+        return [EvidentialInterval(min(1.0, b), min(1.0, p)) for b, p in zip(bel, pl)]
 
     # -- comparison --------------------------------------------------------------
 

@@ -1,11 +1,22 @@
 """Replay of time-stamped sensor evidence with windowed fusion.
 
 Each sensor report is one uncertain rule firing: a focus proposition backed
-to some degree. A run walks a fixed time grid; at every step it gathers the
-reports inside the sliding window, converts them to simple support functions
-discounted by age, fuses them, applies the decision rule, and emits one
-trace row. Combination has no inverse, so windowed semantics recompute from
-the in-window reports at each step rather than updating incrementally.
+to some degree. A run walks a fixed time grid; at every step it fuses the
+simple support functions of the reports inside the sliding window, applies
+the decision rule, and emits one trace row.
+
+How a window is fused depends on the scenario's discount rate alone:
+
+- At rate 1 a report's support does not change with age, so the window is
+  kept as a two-stacks sliding-window aggregate (Tangwongsan, Hirzel and
+  Schneider, "General Incremental Sliding-Window Aggregation", VLDB 2015).
+  Dempster's rule is associative but has no inverse, so a leaving report
+  cannot be subtracted from a running sum; the two stacks need neither, and
+  take a few combines per step instead of a refold of the whole window.
+  Until a report leaves, the window is the plain left fold of its reports.
+- Below rate 1 every support ages between steps, and discounting does not
+  distribute over the orthogonal sum, so each step refolds its window from
+  supports built directly at their discounted degree.
 
 Runs are batch replays: fold order is pinned (time, then sensor id) and
 there is no hidden randomness, so a rerun is byte-identical.
@@ -14,10 +25,11 @@ there is no hidden randomness, so a rerun is byte-identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ._jsonutil import parse_document, require
-from .combine import CombinationReport, combine_all, discount
+from .combine import CombinationReport, combine, combine_all
 from .decide import HIGH_CONFLICT, DecisionStatus, decide
 from .errors import (
     DegreeOutOfRange,
@@ -31,10 +43,13 @@ from .errors import (
     UnsortedReports,
 )
 from .frames import Frame, Proposition
-from .masses import EvidentialInterval, simple_support, vacuous
+from .masses import EvidentialInterval, MassFunction, simple_support, vacuous
 
 # slack when walking the step grid, so t0 + k*step lands on the last report
 _GRID_EPS = 1e-9
+
+# a replay with a longer step grid is refused rather than walked
+MAX_GRID_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -154,27 +169,140 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(frame=frame, reports=tuple(reports), **params)
 
 
-def _fuse_window(scenario: Scenario, t: float) -> CombinationReport:
-    in_window = [
-        r for r in scenario.reports if t - scenario.window < r.time <= t
-    ]
-    if not in_window:
-        return CombinationReport(result=vacuous(scenario.frame), conflict=0.0)
-    masses = [
-        discount(
-            simple_support(scenario.frame, r.focus, r.degree),
-            scenario.discount_rate ** (t - r.time),
+def _grid_steps(scenario: Scenario) -> int:
+    """Rows of the step grid t0 + k*step, k = 0, 1, ..., up to the last report.
+
+    Raises :class:`InvalidWindow` above ``MAX_GRID_STEPS`` rows. That covers
+    a grid whose times stop advancing, where ``step`` is below half the float
+    spacing at t0.
+    """
+    t0 = scenario.reports[0].time
+    t_end = scenario.reports[-1].time
+    limit = t_end + _GRID_EPS
+    step = scenario.step
+    # t0 + k*step never decreases in k, so the first k past the limit bisects
+    steps = bisect_left(
+        range(MAX_GRID_STEPS + 1), True, key=lambda k: t0 + k * step > limit
+    )
+    if steps > MAX_GRID_STEPS:
+        raise InvalidWindow(
+            f"step {step!r} from t={t0!r} to t={t_end!r} makes more than"
+            f" {MAX_GRID_STEPS} grid steps"
         )
-        for r in in_window
-    ]
-    return combine_all(masses)
+    return steps
+
+
+def _window_bounds(scenario: Scenario, steps: int):
+    """(t, lo, hi) per grid step; ``reports[lo:hi]`` lie in t - window < time <= t."""
+    times = [r.time for r in scenario.reports]
+    t0 = times[0]
+    for k in range(steps):
+        t = t0 + k * scenario.step
+        yield t, bisect_right(times, t - scenario.window), bisect_right(times, t)
+
+
+# A window aggregate is a (fused mass function, retained) pair; retained is the
+# product of 1 - step conflict over its combines, as in combine_all. Total
+# conflict is absorbing: its aggregate has no mass function.
+_Aggregate = tuple[MassFunction | None, float]
+_CONTRADICTED: _Aggregate = (None, 0.0)
+
+
+def _sum(a: _Aggregate, b: _Aggregate) -> _Aggregate:
+    if a[0] is None or b[0] is None:
+        return _CONTRADICTED
+    try:
+        report = combine(a[0], b[0])
+    except TotalConflict:
+        return _CONTRADICTED
+    return report.result, a[1] * b[1] * (1.0 - report.conflict)
+
+
+class _TwoStacks:
+    """The orthogonal sum of a sliding window of supports.
+
+    Supports enter at the back, whose running sum is their left fold. When
+    the oldest must leave and the front is empty, the back moves to the
+    front as suffix sums, one combine each, so every support takes part in
+    O(1) combines while it is in the window. Front and back sums are only
+    combined with each other when both are non-empty.
+    """
+
+    def __init__(self) -> None:
+        self._front: list[_Aggregate] = []  # suffix sums; the last starts at the oldest
+        self._back: list[MassFunction] = []
+        self._back_sum: _Aggregate | None = None
+
+    def push(self, support: MassFunction) -> None:
+        item = (support, 1.0)
+        self._back_sum = item if self._back_sum is None else _sum(self._back_sum, item)
+        self._back.append(support)
+
+    def evict(self, count: int) -> None:
+        """Drop the ``count`` oldest supports."""
+        while count and self._front:
+            self._front.pop()
+            count -= 1
+        if count:
+            acc = None
+            for support in reversed(self._back[count:]):
+                acc = (support, 1.0) if acc is None else _sum((support, 1.0), acc)
+                self._front.append(acc)
+            self._back = []
+            self._back_sum = None
+
+    def total(self) -> _Aggregate | None:
+        """The window's sum; None when it holds no support."""
+        if self._front and self._back_sum is not None:
+            return _sum(self._front[-1], self._back_sum)
+        return self._front[-1] if self._front else self._back_sum
+
+
+def _fresh_windows(scenario: Scenario, steps: int):
+    """(t, fused window or None on total conflict) per step at discount rate 1."""
+    frame = scenario.frame
+    empty = CombinationReport(result=vacuous(frame), conflict=0.0)
+    window = _TwoStacks()
+    lo = hi = 0
+    for t, new_lo, new_hi in _window_bounds(scenario, steps):
+        window.evict(min(new_lo, hi) - lo)
+        for r in scenario.reports[max(new_lo, hi):new_hi]:
+            window.push(simple_support(frame, r.focus, r.degree))
+        lo, hi = new_lo, new_hi
+        fused = window.total()
+        if fused is None:
+            yield t, empty
+        elif fused[0] is None:
+            yield t, None
+        else:
+            yield t, CombinationReport(result=fused[0], conflict=1.0 - fused[1])
+
+
+def _aged_windows(scenario: Scenario, steps: int):
+    """(t, fused window or None on total conflict) per step at rate below 1."""
+    frame = scenario.frame
+    rate = scenario.discount_rate
+    empty = CombinationReport(result=vacuous(frame), conflict=0.0)
+    for t, lo, hi in _window_bounds(scenario, steps):
+        if lo == hi:
+            yield t, empty
+            continue
+        supports = [
+            simple_support(frame, r.focus, rate ** (t - r.time) * r.degree)
+            for r in scenario.reports[lo:hi]
+        ]
+        try:
+            yield t, combine_all(supports)
+        except TotalConflict:
+            yield t, None
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRow]:
     """Replay a scenario, emitting one row per step on the time grid.
 
     The grid starts at the first report time and advances by ``step`` up to
-    the last report time. Total conflict at a step is recorded on the row
+    the last report time; a grid of more than ``MAX_GRID_STEPS`` rows raises
+    :class:`InvalidWindow`. Total conflict at a step is recorded on the row
     (vacuous intervals, conflict 1) and the run continues.
     """
     if not scenario.reports:
@@ -183,15 +311,11 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     # total conflict needs two disjoint focals, so the frame has two or more
     # atoms and every singleton is vacuously [0, 1]
     conflicted = tuple((a, EvidentialInterval(0.0, 1.0)) for a in atoms)
-    t0 = scenario.reports[0].time
-    t_end = scenario.reports[-1].time
+    steps = _grid_steps(scenario)
+    windows = _fresh_windows if scenario.discount_rate == 1.0 else _aged_windows
     rows: list[TraceRow] = []
-    k = 0
-    t = t0
-    while t <= t_end + _GRID_EPS:
-        try:
-            report = _fuse_window(scenario, t)
-        except TotalConflict:
+    for t, report in windows(scenario, steps):
+        if report is None:
             rows.append(
                 TraceRow(
                     time=t,
@@ -215,8 +339,6 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
                     hypothesis=decision.hypothesis,
                 )
             )
-        k += 1
-        t = t0 + k * scenario.step
     return rows
 
 

@@ -134,6 +134,47 @@ class TestRun:
         assert err.startswith("error: conflict threshold 0.0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "times, step",
+        [
+            ((0, 1000), 1e-12),  # too many steps
+            ((0, 1e300), 1.0),  # too long a span
+            ((1e300, 1.7e308), 1.0),  # t0 + k*step never advances
+        ],
+    )
+    def test_huge_grid_exits_1(self, tmp_path, times, step):
+        doc = {
+            "frame": ["lake", "tower"],
+            "step": step,
+            "reports": [
+                {"sensor": "eo", "t": t, "focus": ["lake"], "degree": 0.5} for t in times
+            ],
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "evident", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: step")
+        assert proc.stdout == ""
+
+    def test_unhashable_focus_atom_exits_1(self, tmp_path, capsys):
+        doc = json.loads((DATA / "lake_tower.json").read_text())
+        doc["reports"][0]["focus"] = [["lake"]]
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: atom [")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "no-such-file.json"]) == 2
         assert "i/o error:" in capsys.readouterr().err
@@ -160,6 +201,13 @@ class TestCombine:
         path = tmp_path / "m.json"
         path.write_text("{not json")
         assert main(["combine", str(path)]) == 1
+
+    def test_unhashable_atom_exits_1(self, tmp_path, capsys):
+        doc = {"frame": ["lake"], "masses": [[{"atoms": [{"a": 1}], "mass": 1.0}]]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["combine", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: atom {")
 
 
 class TestRoute:
@@ -194,3 +242,13 @@ class TestRoute:
             json.dumps([{"id": "x", "schema": {}}, {"id": "x", "schema": {}}])
         )
         assert main(["route", str(qpath), str(spath)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "combine", "route"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"frame": ["lac gelé"]}'.encode("latin-1"))
+    args = [command, str(path)] + ([str(path)] if command == "route" else [])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")

@@ -21,7 +21,7 @@ from evident import (
 from evident.decide import HIGH_CONFLICT, TIE
 from evident.errors import FrameMismatch, TrivialProposition
 
-from .conftest import frames, mass_and_prop, mass_on
+from .conftest import frames, mass_and_prop, mass_on, masses
 
 
 @pytest.fixture
@@ -77,6 +77,23 @@ class TestSupportProCon:
         assert 0.0 <= triple.pro <= 1.0
         assert 0.0 <= triple.con <= 1.0
         assert 0.0 <= triple.uncommitted <= 1.0
+
+    def test_pro_never_exceeds_one(self, ltr_frame):
+        # the masses total 1.0000000000000002, inside the construction tolerance
+        lake_tower = ltr_frame.proposition(["lake", "tower"])
+        m = mass_new(
+            ltr_frame,
+            [
+                (ltr_frame.proposition(["lake"]), 0.1),
+                (ltr_frame.proposition(["tower"]), 0.2),
+                (lake_tower, 0.7000000000000002),
+            ],
+        )
+        assert m.belief(lake_tower) == 1.0
+        assert m.plausibility(lake_tower) == 1.0
+        triple = support_pro_con(m, lake_tower)
+        assert triple.pro == 1.0
+        assert triple.uncommitted == 0.0
 
     @given(mass_and_prop(max_atoms=5))
     def test_uncommitted_is_interval_width(self, bundle):
@@ -178,3 +195,10 @@ class TestDecide:
         winner_support = decision.ranking[0][1].support
         for atom, iv in decision.ranking[1:]:
             assert winner_support > iv.plausibility
+
+    @given(masses(max_atoms=5))
+    def test_intervals_equal_mass_function_intervals(self, bundle):
+        frame, m = bundle
+        ranked = dict(decide(CombinationReport(result=m, conflict=0.0)).ranking)
+        for atom in frame.atoms:
+            assert ranked[atom] == m.interval(frame.singleton(atom))

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evident import (
@@ -16,13 +16,16 @@ from evident import (
     Scenario,
     SensorReport,
     combine_all,
+    decide,
     discount,
     emit_trace,
     load_scenario,
     run_scenario,
     simple_support,
+    vacuous,
 )
-from evident.decide import HIGH_CONFLICT, TIE
+from evident import scenario as scenario_module
+from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
 from evident.errors import (
     DegreeOutOfRange,
     EmptyFocus,
@@ -30,9 +33,12 @@ from evident.errors import (
     InvalidReport,
     InvalidWindow,
     ParseError,
+    TotalConflict,
     UnknownAtom,
     UnsortedReports,
 )
+
+from .conftest import ATOM_POOL
 
 DATA = Path(__file__).parent / "data"
 
@@ -298,6 +304,161 @@ class TestRunScenario:
                 dict(narrow_row.intervals)["lake"].support
                 <= dict(wide_row.intervals)["lake"].support + 1e-12
             )
+
+
+def replay_reference(scenario: Scenario):
+    """(time, CombinationReport or None on total conflict) per grid step.
+
+    Each step scans every report for its window and folds the in-window
+    supports afresh, discounted by age, with no state kept between steps.
+    """
+    frame = scenario.frame
+    t0, t_end = scenario.reports[0].time, scenario.reports[-1].time
+    out = []
+    k = 0
+    t = t0
+    while t <= t_end + 1e-9:
+        supports = [
+            simple_support(frame, r.focus, scenario.discount_rate ** (t - r.time) * r.degree)
+            for r in scenario.reports
+            if t - scenario.window < r.time <= t
+        ]
+        if not supports:
+            supports = [vacuous(frame)]
+        try:
+            out.append((t, combine_all(supports)))
+        except TotalConflict:
+            out.append((t, None))
+        k += 1
+        t = t0 + k * scenario.step
+    return out
+
+
+def near_decision_margin(intervals: dict, conflict: float, threshold: float) -> bool:
+    """Whether rounding could move the row across a boundary of the decision rule."""
+    tol = 1e-9
+    ranked = sorted(intervals.items(), key=lambda kv: -kv[1].support)
+    best = ranked[0][1]
+    gap = best.support - ranked[1][1].support
+    dominance = best.support - max(iv.plausibility for _, iv in ranked[1:])
+    return (
+        abs(conflict - threshold) <= tol
+        or TIE_TOL / 100 < gap <= tol
+        or abs(dominance) <= tol
+    )
+
+
+@st.composite
+def report_streams(draw):
+    """Replays on a coarse time grid, so equal times, gaps and edges all occur.
+
+    Degrees are multiples of 0.05, which keeps every focal mass well above
+    the combine pruning floor; some streams carry two certain reports on
+    disjoint atoms, a total conflict that enters and leaves the window.
+    """
+    frame = Frame(ATOM_POOL[: draw(st.integers(2, 4))])
+    full = (1 << len(frame)) - 1
+    count = draw(st.integers(1, 12))
+    stream = [
+        (
+            draw(st.sampled_from(("eo", "ir", "radar"))),
+            draw(st.integers(0, 24)) / 2,
+            frame.from_bits(draw(st.integers(1, full))),
+            draw(st.integers(0, 20)) / 20,
+        )
+        for _ in range(count)
+    ]
+    if draw(st.booleans()):
+        t = draw(st.integers(0, 24)) / 2
+        stream.append(("eo", t, frame.singleton(frame.atoms[0]), 1.0))
+        stream.append(("ir", t, frame.singleton(frame.atoms[1]), 1.0))
+    stream.sort(key=lambda r: r[1])
+    return Scenario(
+        frame=frame,
+        reports=tuple(SensorReport(*r) for r in stream),
+        window=draw(st.sampled_from((0.25, 0.5, 1.0, 2.5, 4.0, 10.0))),
+        step=draw(st.sampled_from((0.5, 1.0, 1.5, 3.0))),
+        discount_rate=draw(st.sampled_from((1.0, 0.9, 0.0))),
+        conflict_threshold=draw(st.sampled_from((0.5, 0.95, 1.0))),
+    )
+
+
+def _clash_then_calm() -> Scenario:
+    reports = [("eo", 0.0, ["lake"], 1.0), ("ir", 0.0, ["tower"], 1.0)]
+    reports += [
+        ("radar", k / 2, [("lake", "ridge", "tower")[k % 3]], 0.35) for k in range(1, 17)
+    ]
+    return scenario_from(["lake", "tower", "ridge"], reports, window=3.0, step=0.5)
+
+
+class TestReplayProperties:
+    @given(report_streams())
+    @example(_clash_then_calm())
+    def test_incremental_matches_per_step_recompute(self, scenario):
+        rows = run_scenario(scenario)
+        expected = replay_reference(scenario)
+        assert [row.time for row in rows] == [t for t, _ in expected]
+        frame = scenario.frame
+        for row, (_, report) in zip(rows, expected):
+            if report is None:
+                assert row.status is DecisionStatus.CONFLICTED
+                assert row.reason == HIGH_CONFLICT
+                assert row.cumulative_conflict == 1.0
+                continue
+            want = {
+                atom: report.result.interval(frame.singleton(atom)) for atom in frame.atoms
+            }
+            got = dict(row.intervals)
+            for atom in frame.atoms:
+                assert abs(got[atom].support - want[atom].support) <= 1e-12
+                assert abs(got[atom].plausibility - want[atom].plausibility) <= 1e-12
+            assert abs(row.cumulative_conflict - report.conflict) <= 1e-12
+            if not near_decision_margin(want, report.conflict, scenario.conflict_threshold):
+                decision = decide(report, scenario.conflict_threshold)
+                assert (row.status, row.reason, row.hypothesis) == (
+                    decision.status,
+                    decision.reason,
+                    decision.hypothesis,
+                )
+
+    @given(st.data())
+    def test_valid_input_never_raises(self, data):
+        frame = Frame(ATOM_POOL[: data.draw(st.integers(1, 5))])
+        full = (1 << len(frame)) - 1
+        times = sorted(
+            data.draw(st.lists(st.floats(0, 20), min_size=1, max_size=12))
+        )
+        reports = tuple(
+            SensorReport(
+                data.draw(st.sampled_from(("eo", "ir"))),
+                t,
+                frame.from_bits(data.draw(st.integers(1, full))),
+                data.draw(st.floats(0, 1)),
+            )
+            for t in times
+        )
+        scenario = Scenario(
+            frame=frame,
+            reports=reports,
+            window=data.draw(st.floats(0.01, 30)),
+            step=data.draw(st.floats(0.25, 10)),
+            discount_rate=data.draw(st.floats(0, 1)),
+            conflict_threshold=data.draw(st.floats(0, 1, exclude_min=True)),
+        )
+        rows = run_scenario(scenario)
+        assert len(rows) == len(replay_reference(scenario))
+        for row in rows:
+            assert 0.0 <= row.cumulative_conflict <= 1.0
+            for _, interval in row.intervals:
+                assert 0.0 <= interval.support <= interval.plausibility <= 1.0
+
+    def test_grid_length_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "MAX_GRID_STEPS", 3)
+        reports = [("eo", 0.0, ["lake"], 0.5), ("eo", 2.0, ["lake"], 0.5)]
+        assert len(run_scenario(scenario_from(["lake"], reports))) == 3
+        reports[-1] = ("eo", 3.0, ["lake"], 0.5)
+        with pytest.raises(InvalidWindow):
+            run_scenario(scenario_from(["lake"], reports))
 
 
 class TestEmitTrace:
