@@ -53,7 +53,7 @@ def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
     _check_frames(m1, m2)
     a, b = _ordered(m1, m2)
     group_bits, group_sums = _kernels.combine_products(
-        a._bits, a._masses, b._bits, b._masses
+        a._bits, a._masses, b._bits, b._masses, len(m1.frame)
     )
     if group_bits.shape[0] and int(group_bits[0]) == 0:
         return float(group_sums[0])
@@ -76,7 +76,7 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     _check_frames(m1, m2)
     a, b = _ordered(m1, m2)
     group_bits, group_sums = _kernels.combine_products(
-        a._bits, a._masses, b._bits, b._masses
+        a._bits, a._masses, b._bits, b._masses, len(m1.frame)
     )
     if group_bits.shape[0] and int(group_bits[0]) == 0:
         conflict = float(group_sums[0])

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._jsonutil import parse_document, require
+from ._jsonutil import number, parse_document, require
 from .errors import (
     DegreeOutOfRange,
     DuplicateSourceId,
@@ -31,6 +31,10 @@ from .errors import (
 )
 from .frames import And, Atom, Implies, Or, QueryExpr
 from .masses import EvidentialInterval
+
+# deeper query trees are refused when loaded: every walk over a query recurses,
+# and printing a plan overflows the interpreter's stack a few hundred levels down
+MAX_QUERY_DEPTH = 100
 
 
 @dataclass(frozen=True, eq=True)
@@ -243,21 +247,27 @@ def load_sources(text: str) -> list[SourceDescriptor]:
             isinstance(priority, int) and not isinstance(priority, bool),
             f"priority of source {obj['id']!r} must be an integer",
         )
+        schema = {
+            attr: number(weight, f"weight of {attr!r} in source {obj['id']!r} must be a number")
+            for attr, weight in obj["schema"].items()
+        }
         if obj["id"] in seen:
             raise DuplicateSourceId(f"source id {obj['id']!r} appears twice")
         seen.add(obj["id"])
-        out.append(
-            SourceDescriptor(id=obj["id"], schema=obj["schema"], priority=priority)
-        )
+        out.append(SourceDescriptor(id=obj["id"], schema=schema, priority=priority))
     return out
 
 
 def load_query(text: str) -> QueryExpr:
-    """Parse a query file: nested {op, children?, name?} objects."""
-    return _query_node(parse_document(text))
+    """Parse a query file: nested {op, children?, name?} objects.
+
+    A query nested more than ``MAX_QUERY_DEPTH`` nodes deep is refused.
+    """
+    return _query_node(parse_document(text), 1)
 
 
-def _query_node(obj) -> QueryExpr:
+def _query_node(obj, depth: int) -> QueryExpr:
+    require(depth <= MAX_QUERY_DEPTH, f"query nested deeper than {MAX_QUERY_DEPTH} levels")
     require(isinstance(obj, dict), "query node must be a JSON object")
     op = obj.get("op")
     if op == "atom":
@@ -266,7 +276,7 @@ def _query_node(obj) -> QueryExpr:
     if op in ("and", "or"):
         children = obj.get("children")
         require(isinstance(children, list), f"'{op}' node needs a 'children' list")
-        nodes = [_query_node(child) for child in children]
+        nodes = [_query_node(child, depth + 1) for child in children]
         require(len(nodes) >= 2, f"'{op}' node needs at least two children")
         return And(*nodes) if op == "and" else Or(*nodes)
     raise ParseError(f"unknown query op {op!r} (expected and/or/atom)")

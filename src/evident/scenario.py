@@ -28,7 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from ._jsonutil import parse_document, require
+from ._jsonutil import number, parse_document, require
 from .combine import CombinationReport, combine, combine_all
 from .decide import HIGH_CONFLICT, DecisionStatus, decide
 from .errors import (
@@ -140,30 +140,22 @@ def load_scenario(text: str) -> Scenario:
         ("discount_rate", 1.0),
         ("conflict_threshold", 0.95),
     ):
-        value = doc.get(key, default)
-        require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"scenario {key!r} must be a number",
-        )
-        params[key] = float(value)
+        params[key] = number(doc.get(key, default), f"scenario {key!r} must be a number")
     raw_reports = doc.get("reports", [])
     require(isinstance(raw_reports, list), "'reports' must be a list")
     reports = []
     for obj in raw_reports:
         require(isinstance(obj, dict), "each report must be a JSON object")
         require(isinstance(obj.get("sensor"), str), "report needs a string 'sensor'")
-        for key in ("t", "degree"):
-            require(
-                isinstance(obj.get(key), (int, float)) and not isinstance(obj.get(key), bool),
-                f"report {key!r} must be a number",
-            )
+        time = number(obj.get("t"), "report 't' must be a number")
+        degree = number(obj.get("degree"), "report 'degree' must be a number")
         require(isinstance(obj.get("focus"), list), "report needs a 'focus' list")
         reports.append(
             SensorReport(
                 sensor_id=obj["sensor"],
-                time=float(obj["t"]),
+                time=time,
                 focus=frame.proposition(obj["focus"]),
-                degree=float(obj["degree"]),
+                degree=degree,
             )
         )
     return Scenario(frame=frame, reports=tuple(reports), **params)
@@ -174,7 +166,8 @@ def _grid_steps(scenario: Scenario) -> int:
 
     Raises :class:`InvalidWindow` above ``MAX_GRID_STEPS`` rows. That covers
     a grid whose times stop advancing, where ``step`` is below half the float
-    spacing at t0.
+    spacing at t0, except when every report is at t0: that grid's one
+    distinct time is its one row.
     """
     t0 = scenario.reports[0].time
     t_end = scenario.reports[-1].time
@@ -185,6 +178,8 @@ def _grid_steps(scenario: Scenario) -> int:
         range(MAX_GRID_STEPS + 1), True, key=lambda k: t0 + k * step > limit
     )
     if steps > MAX_GRID_STEPS:
+        if t_end == t0 and t0 + step == t0:
+            return 1
         raise InvalidWindow(
             f"step {step!r} from t={t0!r} to t={t_end!r} makes more than"
             f" {MAX_GRID_STEPS} grid steps"
@@ -193,12 +188,17 @@ def _grid_steps(scenario: Scenario) -> int:
 
 
 def _window_bounds(scenario: Scenario, steps: int):
-    """(t, lo, hi) per grid step; ``reports[lo:hi]`` lie in t - window < time <= t."""
+    """(t, lo, hi) per grid step; ``reports[lo:hi]`` lie in t - window < time <= t.
+
+    Reports at t itself are always in: where the window is narrower than the
+    float spacing at t, ``t - window`` rounds to t.
+    """
     times = [r.time for r in scenario.reports]
     t0 = times[0]
     for k in range(steps):
         t = t0 + k * scenario.step
-        yield t, bisect_right(times, t - scenario.window), bisect_right(times, t)
+        lo = min(bisect_right(times, t - scenario.window), bisect_left(times, t))
+        yield t, lo, bisect_right(times, t)
 
 
 # A window aggregate is a (fused mass function, retained) pair; retained is the

@@ -2,7 +2,8 @@
 
 Everything here works on frozensets of atom names (or exact rationals),
 never on the package's bitmask/array representation, so each check is an
-independent route to the same value.
+independent route to the same value. The exception is
+:func:`grouped_products_oracle`, which pins a kernel's exact output arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
+
+import numpy as np
 
 from evident import And, Atom, Frame, Implies, MassFunction, Or
 
@@ -82,6 +85,18 @@ def fold_oracle(
         acc = nxt
     kept = math.fsum(acc.values())
     return {h: v / kept for h, v in acc.items()}, 1.0 - kept
+
+
+def grouped_products_oracle(bits1, w1, bits2, w2):
+    """Pairwise intersection products grouped by sorting, as ``np.unique`` does.
+
+    The one array-level reference here: it pins the exact arrays, bit for
+    bit, that ``_kernels.combine_products`` must return on either grouping.
+    """
+    inter = (bits1[:, None] & bits2[None, :]).ravel()
+    prod = (w1[:, None] * w2[None, :]).ravel()
+    group_bits, inverse = np.unique(inter, return_inverse=True)
+    return group_bits, np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 6) -> MassFunction:

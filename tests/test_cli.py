@@ -244,6 +244,36 @@ class TestRoute:
         assert main(["route", str(qpath), str(spath)]) == 1
 
 
+    @pytest.mark.parametrize("weight", ["x", "0.5", [1], True])
+    def test_non_numeric_weight_exits_1(self, route_files, tmp_path, capsys, weight):
+        qpath, _ = route_files
+        spath = tmp_path / "weights.json"
+        spath.write_text(json.dumps([{"id": "dma", "schema": {"altitude": weight}}]))
+        assert main(["route", str(qpath), str(spath)]) == 1
+        assert capsys.readouterr().err == (
+            "error: weight of 'altitude' in source 'dma' must be a number\n"
+        )
+
+    def test_deeply_nested_query_exits_1(self, route_files, tmp_path, capsys):
+        _, spath = route_files
+        node = {"op": "atom", "name": "altitude"}
+        for _ in range(250):
+            node = {"op": "and", "children": [node, {"op": "atom", "name": "terrain"}]}
+        qpath = tmp_path / "deep.json"
+        qpath.write_text(json.dumps(node))
+        assert main(["route", str(qpath), str(spath)]) == 1
+        assert capsys.readouterr().err == "error: query nested deeper than 100 levels\n"
+
+
+@pytest.mark.parametrize("command", ["run", "combine", "route"])
+def test_deeply_nested_document_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    args = [command, str(path)] + ([str(path)] if command == "route" else [])
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", ["run", "combine", "route"])
 def test_non_utf8_input_exits_1(tmp_path, capsys, command):
     path = tmp_path / "latin1.json"

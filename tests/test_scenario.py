@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from evident import (
     DecisionStatus,
+    EvidentialInterval,
     Frame,
     Scenario,
     SensorReport,
@@ -459,6 +460,16 @@ class TestReplayProperties:
         reports[-1] = ("eo", 3.0, ["lake"], 0.5)
         with pytest.raises(InvalidWindow):
             run_scenario(scenario_from(["lake"], reports))
+
+    def test_grid_that_cannot_advance_has_one_row(self):
+        # 1e300 + k * 1.0 == 1e300 for every k: one distinct time, one row
+        reports = [("eo", 1e300, ["lake"], 0.5), ("ir", 1e300, ["lake"], 0.5)]
+        (row,) = run_scenario(scenario_from(["lake", "tower"], reports))
+        assert row.time == 1e300
+        assert dict(row.intervals)["lake"] == EvidentialInterval(0.75, 1.0)
+        # a grid that advances, if only within the slack, keeps every row
+        single = [("eo", 1e3, ["lake"], 0.5)]
+        assert len(run_scenario(scenario_from(["lake"], single, step=5e-14))) == 20001
 
 
 class TestEmitTrace:
