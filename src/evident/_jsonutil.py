@@ -35,13 +35,18 @@ def require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def is_number(value) -> bool:
+    """True for an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def number(value, message: str) -> float:
     """A finite JSON number, not a bool, as a float; otherwise a :class:`ParseError`.
 
     An integer or a float literal past the float range (``1e400`` parses as
     ``inf``) is refused too.
     """
-    require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
+    require(is_number(value), message)
     try:
         result = float(value)
     except OverflowError:  # an integer beyond the float range

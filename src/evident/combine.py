@@ -43,21 +43,23 @@ def _ordered(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, MassFunc
     return (m1, m2) if k1 <= k2 else (m2, m1)
 
 
-def _check_frames(m1: MassFunction, m2: MassFunction) -> None:
+def _grouped(m1: MassFunction, m2: MassFunction):
+    """(conflict, group bits, group sums): the pair's products pooled by
+    intersection, with the empty intersection's share split off as conflict."""
     if m1.frame != m2.frame:
         raise FrameMismatch("cannot combine evidence on different frames")
-
-
-def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
-    """Mass the pair would assign to the empty set: their degree of conflict."""
-    _check_frames(m1, m2)
     a, b = _ordered(m1, m2)
     group_bits, group_sums = _kernels.combine_products(
         a._bits, a._masses, b._bits, b._masses, len(m1.frame)
     )
     if group_bits.shape[0] and int(group_bits[0]) == 0:
-        return float(group_sums[0])
-    return 0.0
+        return float(group_sums[0]), group_bits[1:], group_sums[1:]
+    return 0.0, group_bits, group_sums
+
+
+def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
+    """Mass the pair would assign to the empty set: their degree of conflict."""
+    return _grouped(m1, m2)[0]
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
@@ -73,17 +75,7 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     (they are accepted within ``NORMALIZATION_TOL``) it is not rescaled, and
     so is off the conflict of exactly normalised inputs by the same order.
     """
-    _check_frames(m1, m2)
-    a, b = _ordered(m1, m2)
-    group_bits, group_sums = _kernels.combine_products(
-        a._bits, a._masses, b._bits, b._masses, len(m1.frame)
-    )
-    if group_bits.shape[0] and int(group_bits[0]) == 0:
-        conflict = float(group_sums[0])
-        group_bits = group_bits[1:]
-        group_sums = group_sums[1:]
-    else:
-        conflict = 0.0
+    conflict, group_bits, group_sums = _grouped(m1, m2)
     if conflict >= 1.0 - TOTAL_CONFLICT_TOL or not group_bits.shape[0]:
         raise TotalConflict()
     scaled = group_sums / math.fsum(group_sums.tolist())

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .combine import CombinationReport
-from .errors import FrameMismatch, TrivialProposition
+from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
 from .masses import EvidentialInterval, MassFunction
 from .frames import Proposition
 
@@ -86,7 +86,7 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     not, CONFLICTED(tie) when the top belief is shared (within ``TIE_TOL``).
     """
     if not 0.0 < conflict_threshold <= 1.0:
-        raise ValueError(f"conflict threshold {conflict_threshold!r} outside (0, 1]")
+        raise DegreeOutOfRange(f"conflict threshold {conflict_threshold!r} outside (0, 1]")
     m = report.result
     intervals = list(zip(m.frame.atoms, m.singleton_intervals()))
     ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))

@@ -2,7 +2,8 @@
 
 Every validation failure raises a subclass of :class:`EvidentError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs or I/O
-failures.
+failures. Where a check used to raise a plain ``ValueError``, its class
+derives from ``ValueError`` too, so ``except ValueError`` keeps working.
 """
 
 
@@ -67,12 +68,16 @@ class EmptyFocus(EvidentError):
     """A simple support function needs a non-empty focus."""
 
 
-class DegreeOutOfRange(EvidentError):
-    """Support degrees live in [0, 1]."""
+class DegreeOutOfRange(EvidentError, ValueError):
+    """Support degrees live in [0, 1]; conflict thresholds in (0, 1]."""
 
 
 class MissingAtom(EvidentError):
     """A probability assignment must cover every atom of the frame."""
+
+
+class InvalidInterval(EvidentError, ValueError):
+    """An evidential interval needs 0 <= support <= plausibility <= 1."""
 
 
 # combination ----------------------------------------------------------------
@@ -161,3 +166,7 @@ class InvalidWindow(EvidentError):
 
 class EmptyTrace(EvidentError):
     """Cannot format a trace with no rows."""
+
+
+class UnknownTraceFormat(EvidentError, ValueError):
+    """emit_trace renders "csv" and "table" (alias "pretty-table") only."""

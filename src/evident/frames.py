@@ -10,7 +10,8 @@ translate onto this algebra via :func:`translate_logical`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import reduce
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     DuplicateAtom,
@@ -171,15 +172,38 @@ class QueryExpr:
     """Base class for logical query trees over named attributes."""
 
     __slots__ = ()
+    _label = ""
 
     def attributes(self) -> tuple[str, ...]:
         """All attribute names in the tree, first-occurrence order."""
-        seen: dict[str, None] = {}
-        _collect_attributes(self, seen)
-        return tuple(seen)
+        # the atoms' tokens are the ones that carry a name, left to right
+        return tuple(dict.fromkeys(v for _, v in self._tokens() if isinstance(v, str)))
+
+    def _tokens(self) -> tuple:
+        """The tree in post-order: (type, name) per atom, (type, arity) per connective."""
+        tokens = []
+
+        def visit(node, kids):
+            tokens.append((type(node), node.name if isinstance(node, Atom) else len(kids)))
+
+        _fold(self, visit)
+        return tuple(tokens)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueryExpr):
+            return NotImplemented
+        return self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(self._tokens())
+
+    def __repr__(self) -> str:
+        return _fold(self, lambda node, kids: (
+            node.name if isinstance(node, Atom) else f"{node._label}({','.join(kids)})"
+        ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Atom(QueryExpr):
     name: str
 
@@ -187,13 +211,9 @@ class Atom(QueryExpr):
         if not isinstance(self.name, str) or not self.name:
             raise InvalidQuery("attribute names must be non-empty strings")
 
-    def __repr__(self) -> str:
-        return self.name
-
 
 class _Connective(QueryExpr):
     __slots__ = ("children",)
-    _label = ""
 
     def __init__(self, *children: QueryExpr):
         if len(children) < 2:
@@ -205,15 +225,6 @@ class _Connective(QueryExpr):
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.children == self.children
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.children))
-
-    def __repr__(self) -> str:
-        return f"{self._label}({','.join(map(repr, self.children))})"
-
 
 class And(_Connective):
     _label = "and"
@@ -223,30 +234,46 @@ class Or(_Connective):
     _label = "or"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(QueryExpr):
     lhs: QueryExpr
     rhs: QueryExpr
+    _label = "implies"
 
     def __post_init__(self):
         if not isinstance(self.lhs, QueryExpr) or not isinstance(self.rhs, QueryExpr):
             raise InvalidQuery("implies takes two query expressions")
 
-    def __repr__(self) -> str:
-        return f"implies({self.lhs!r},{self.rhs!r})"
 
+def _fold(expr: QueryExpr, visit: Callable[[QueryExpr, list], Any]) -> Any:
+    """Fold a query tree bottom-up: ``visit(node, child_values)``, children first.
 
-def _collect_attributes(expr: QueryExpr, seen: dict[str, None]) -> None:
-    if isinstance(expr, Atom):
-        seen.setdefault(expr.name)
-    elif isinstance(expr, (And, Or)):
-        for child in expr.children:
-            _collect_attributes(child, seen)
-    elif isinstance(expr, Implies):
-        _collect_attributes(expr.lhs, seen)
-        _collect_attributes(expr.rhs, seen)
-    else:
-        raise InvalidQuery(f"unknown query node {expr!r}")
+    Children are folded left to right, so leaves are visited in reading
+    order. An explicit stack stands in for recursion, so any depth folds.
+    This is the one place that knows each node type's children.
+    """
+    values: list = []
+    stack: list = [expr]  # nodes to expand, and (node, arity) once expanded
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, arity = node
+            args = values[-arity:]
+            del values[-arity:]
+            values.append(visit(node, args))
+            continue
+        if isinstance(node, Atom):
+            values.append(visit(node, []))
+            continue
+        if isinstance(node, _Connective):
+            kids = node.children
+        elif isinstance(node, Implies):
+            kids = (node.lhs, node.rhs)
+        else:
+            raise InvalidQuery(f"unknown query node {type(node).__name__}")
+        stack.append((node, len(kids)))
+        stack.extend(reversed(kids))
+    return values[0]
 
 
 def translate_logical(
@@ -259,28 +286,21 @@ def translate_logical(
     consequent). Every attribute must be mapped to a proposition on the given
     frame.
     """
-    if isinstance(expr, Atom):
-        try:
-            prop = atom_map[expr.name]
-        except KeyError:
-            raise UnmappedAttribute(f"attribute {expr.name!r} has no mapping") from None
-        if prop.frame != frame:
-            raise FrameMismatch(
-                f"mapping for {expr.name!r} targets a different frame"
-            )
-        return prop
-    if isinstance(expr, And):
-        out = frame.full()
-        for child in expr.children:
-            out = out.intersect(translate_logical(child, frame, atom_map))
-        return out
-    if isinstance(expr, Or):
-        out = frame.empty()
-        for child in expr.children:
-            out = out.union(translate_logical(child, frame, atom_map))
-        return out
-    if isinstance(expr, Implies):
-        lhs = translate_logical(expr.lhs, frame, atom_map)
-        rhs = translate_logical(expr.rhs, frame, atom_map)
+
+    def visit(node, kids):
+        if isinstance(node, Atom):
+            try:
+                prop = atom_map[node.name]
+            except KeyError:
+                raise UnmappedAttribute(f"attribute {node.name!r} has no mapping") from None
+            if prop.frame != frame:
+                raise FrameMismatch(f"mapping for {node.name!r} targets a different frame")
+            return prop
+        if isinstance(node, And):
+            return reduce(Proposition.intersect, kids, frame.full())
+        if isinstance(node, Or):
+            return reduce(Proposition.union, kids, frame.empty())
+        lhs, rhs = kids  # an implication
         return lhs.complement().union(rhs)
-    raise InvalidQuery(f"unknown query node {expr!r}")
+
+    return _fold(expr, visit)

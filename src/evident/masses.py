@@ -23,6 +23,7 @@ from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
     FrameMismatch,
+    InvalidInterval,
     MassOnEmptySet,
     MissingAtom,
     NegativeMass,
@@ -44,7 +45,7 @@ class EvidentialInterval:
 
     def __post_init__(self):
         if not 0.0 <= self.support <= self.plausibility <= 1.0:
-            raise ValueError(
+            raise InvalidInterval(
                 f"invalid interval [{self.support}, {self.plausibility}]"
             )
 

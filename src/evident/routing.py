@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._jsonutil import number, parse_document, require
+from ._jsonutil import is_number, number, parse_document, require
 from .errors import (
     DegreeOutOfRange,
     DuplicateSourceId,
@@ -29,11 +29,11 @@ from .errors import (
     SchemaMismatch,
     TooFewParts,
 )
-from .frames import And, Atom, Implies, Or, QueryExpr
+from .frames import And, Atom, Or, QueryExpr, _fold
 from .masses import EvidentialInterval
 
-# deeper query trees are refused when loaded: every walk over a query recurses,
-# and printing a plan overflows the interpreter's stack a few hundred levels down
+# deeper query documents are refused: the loader (_query_node) recurses once
+# per level, while trees built in the library may be any depth
 MAX_QUERY_DEPTH = 100
 
 
@@ -52,12 +52,13 @@ class SourceDescriptor:
         for attr, weight in schema.items():
             if not isinstance(attr, str) or not attr:
                 raise InvalidSource(f"blank attribute name in source {self.id!r}")
-            w = float(weight)
-            if not 0.0 <= w <= 1.0 or math.isnan(w):
+            # compared before float(): an int past the float range is refused too
+            if not is_number(weight) or not 0.0 <= weight <= 1.0:
                 raise InvalidSource(
-                    f"weight {weight!r} for {attr!r} in source {self.id!r} outside [0, 1]"
+                    f"weight {weight!r} for {attr!r} in source {self.id!r}"
+                    " must be a number in [0, 1]"
                 )
-            schema[attr] = w
+            schema[attr] = float(weight)
         object.__setattr__(self, "schema", schema)
 
 
@@ -76,37 +77,32 @@ class RoutePlan:
     unassigned: tuple[QueryExpr, ...]
 
 
-def _reject_implies(query: QueryExpr) -> None:
-    if isinstance(query, Implies):
-        raise ImpliesNotRoutable(
-            "rewrite implications (e.g. via translate_logical) before routing"
-        )
-    if isinstance(query, (And, Or)):
-        for child in query.children:
-            _reject_implies(child)
+def _bounds(node: QueryExpr, kids: Sequence[tuple], schema: Mapping[str, float]) -> tuple:
+    """(support, plausibility, fully answerable) of ``node`` from its children's.
 
-
-def _bounds(query: QueryExpr, schema: Mapping[str, float]) -> tuple[float, float]:
-    if isinstance(query, Atom):
-        weight = schema.get(query.name)
+    A node is fully answerable when every atom under it has positive weight.
+    """
+    if isinstance(node, Atom):
+        weight = schema.get(node.name)
         if weight is None:
-            return 0.0, 0.0
-        return weight, 1.0
-    if isinstance(query, And):
+            return 0.0, 0.0, False
+        return weight, 1.0, weight > 0.0
+    answerable = all(full for _, _, full in kids)
+    if isinstance(node, And):
         support, plausibility = 1.0, 1.0
-        for child in query.children:
-            s, p = _bounds(child, schema)
+        for s, p, _ in kids:
             support *= s
             plausibility *= p
-        return support, plausibility
-    if isinstance(query, Or):
+        return support, plausibility, answerable
+    if isinstance(node, Or):
         miss_s, miss_p = 1.0, 1.0
-        for child in query.children:
-            s, p = _bounds(child, schema)
+        for s, p, _ in kids:
             miss_s *= 1.0 - s
             miss_p *= 1.0 - p
-        return 1.0 - miss_s, 1.0 - miss_p
-    raise ImpliesNotRoutable("routing is defined over and/or/atom queries")
+        return 1.0 - miss_s, 1.0 - miss_p, answerable
+    raise ImpliesNotRoutable(
+        "rewrite implications (e.g. via translate_logical) before routing"
+    )
 
 
 def answerability(query: QueryExpr, src: SourceDescriptor) -> EvidentialInterval:
@@ -118,8 +114,7 @@ def answerability(query: QueryExpr, src: SourceDescriptor) -> EvidentialInterval
     attributes), disjunctions by co-product. Implications are not routable
     and must be rewritten by the caller.
     """
-    _reject_implies(query)
-    support, plausibility = _bounds(query, src.schema)
+    support, plausibility, _ = _fold(query, lambda node, kids: _bounds(node, kids, src.schema))
     return EvidentialInterval(support, plausibility)
 
 
@@ -146,25 +141,6 @@ def poll(
     return [(src.id, interval) for src, interval in scored]
 
 
-def _fully_answerable(query: QueryExpr, src: SourceDescriptor) -> bool:
-    return all(src.schema.get(a, 0.0) > 0.0 for a in query.attributes())
-
-
-def _best_source(
-    query: QueryExpr, shortlist: Sequence[SourceDescriptor]
-) -> tuple[str, float] | None:
-    candidates = [
-        (src, _bounds(query, src.schema)[0])
-        for src in shortlist
-        if _fully_answerable(query, src)
-    ]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda pair: (-pair[1], pair[0].priority, pair[0].id))
-    best, support = candidates[0]
-    return best.id, support
-
-
 def decompose(query: QueryExpr, shortlist: Sequence[SourceDescriptor]) -> RoutePlan:
     """Split a query into maximal fragments single sources can answer.
 
@@ -177,29 +153,31 @@ def decompose(query: QueryExpr, shortlist: Sequence[SourceDescriptor]) -> RouteP
     shortlist = list(shortlist)
     if not shortlist:
         raise EmptyShortlist("decompose needs at least one candidate source")
-    _reject_implies(query)
-    assignments: list[tuple[QueryExpr, str]] = []
-    supports: list[float] = []
-    unassigned: list[QueryExpr] = []
+    # (fragment, source id or None when unassigned, support), left to right
+    plan: list[tuple[QueryExpr, str | None, float]] = []
 
-    def walk(node: QueryExpr) -> None:
-        best = _best_source(node, shortlist)
-        if best is not None:
-            source_id, support = best
-            assignments.append((node, source_id))
-            supports.append(support)
-            return
-        if isinstance(node, Atom):
-            unassigned.append(node)
-            return
-        for child in node.children:
-            walk(child)
+    def visit(node, kids):
+        # kids: (start of the child's fragments in plan, its bounds per source)
+        start = kids[0][0] if kids else len(plan)
+        bounds = [
+            _bounds(node, [kid[1][i] for kid in kids], src.schema)
+            for i, src in enumerate(shortlist)
+        ]
+        fits = [(src, b[0]) for src, b in zip(shortlist, bounds) if b[2]]
+        if fits:
+            # a whole sub-tree replaces the fragments found under it
+            best, support = min(fits, key=lambda pair: (-pair[1], pair[0].priority, pair[0].id))
+            del plan[start:]
+            plan.append((node, best.id, support))
+        elif isinstance(node, Atom):
+            plan.append((node, None, 0.0))
+        return start, bounds
 
-    walk(query)
+    _fold(query, visit)
     return RoutePlan(
-        assignments=tuple(assignments),
-        total_support=math.prod(supports),
-        unassigned=tuple(unassigned),
+        assignments=tuple((node, sid) for node, sid, _ in plan if sid is not None),
+        total_support=math.prod(support for _, sid, support in plan if sid is not None),
+        unassigned=tuple(node for node, sid, _ in plan if sid is None),
     )
 
 

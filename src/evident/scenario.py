@@ -29,8 +29,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ._jsonutil import number, parse_document, require
-from .combine import CombinationReport, combine, combine_all
-from .decide import HIGH_CONFLICT, DecisionStatus, decide
+from .combine import CombinationReport, combine
+from .decide import DecisionStatus, decide
 from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
@@ -40,6 +40,7 @@ from .errors import (
     InvalidReport,
     InvalidWindow,
     TotalConflict,
+    UnknownTraceFormat,
     UnsortedReports,
 )
 from .frames import Frame, Proposition
@@ -259,9 +260,8 @@ class _TwoStacks:
 
 
 def _fresh_windows(scenario: Scenario, steps: int):
-    """(t, fused window or None on total conflict) per step at discount rate 1."""
+    """(t, window aggregate or None when empty) per step at discount rate 1."""
     frame = scenario.frame
-    empty = CombinationReport(result=vacuous(frame), conflict=0.0)
     window = _TwoStacks()
     lo = hi = 0
     for t, new_lo, new_hi in _window_bounds(scenario, steps):
@@ -269,32 +269,19 @@ def _fresh_windows(scenario: Scenario, steps: int):
         for r in scenario.reports[max(new_lo, hi):new_hi]:
             window.push(simple_support(frame, r.focus, r.degree))
         lo, hi = new_lo, new_hi
-        fused = window.total()
-        if fused is None:
-            yield t, empty
-        elif fused[0] is None:
-            yield t, None
-        else:
-            yield t, CombinationReport(result=fused[0], conflict=1.0 - fused[1])
+        yield t, window.total()
 
 
 def _aged_windows(scenario: Scenario, steps: int):
-    """(t, fused window or None on total conflict) per step at rate below 1."""
+    """(t, window aggregate or None when empty) per step at rate below 1."""
     frame = scenario.frame
     rate = scenario.discount_rate
-    empty = CombinationReport(result=vacuous(frame), conflict=0.0)
     for t, lo, hi in _window_bounds(scenario, steps):
-        if lo == hi:
-            yield t, empty
-            continue
-        supports = [
-            simple_support(frame, r.focus, rate ** (t - r.time) * r.degree)
-            for r in scenario.reports[lo:hi]
-        ]
-        try:
-            yield t, combine_all(supports)
-        except TotalConflict:
-            yield t, None
+        fused = None
+        for r in scenario.reports[lo:hi]:
+            item = (simple_support(frame, r.focus, rate ** (t - r.time) * r.degree), 1.0)
+            fused = item if fused is None else _sum(fused, item)
+        yield t, fused
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRow]:
@@ -308,37 +295,29 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     if not scenario.reports:
         return []
     atoms = scenario.frame.atoms
-    # total conflict needs two disjoint focals, so the frame has two or more
-    # atoms and every singleton is vacuously [0, 1]
-    conflicted = tuple((a, EvidentialInterval(0.0, 1.0)) for a in atoms)
+    empty = vacuous(scenario.frame)
     steps = _grid_steps(scenario)
     windows = _fresh_windows if scenario.discount_rate == 1.0 else _aged_windows
     rows: list[TraceRow] = []
-    for t, report in windows(scenario, steps):
-        if report is None:
-            rows.append(
-                TraceRow(
-                    time=t,
-                    intervals=conflicted,
-                    cumulative_conflict=1.0,
-                    status=DecisionStatus.CONFLICTED,
-                    reason=HIGH_CONFLICT,
-                    hypothesis=None,
-                )
+    for t, fused in windows(scenario, steps):
+        # an empty window is vacuous; a contradicted one has conflict 1, which
+        # decide reports as high conflict under any threshold
+        mass, retained = fused or (empty, 1.0)
+        report = CombinationReport(
+            result=empty if mass is None else mass, conflict=1.0 - retained
+        )
+        decision = decide(report, scenario.conflict_threshold)
+        ranked = dict(decision.ranking)
+        rows.append(
+            TraceRow(
+                time=t,
+                intervals=tuple((a, ranked[a]) for a in atoms),
+                cumulative_conflict=report.conflict,
+                status=decision.status,
+                reason=decision.reason,
+                hypothesis=decision.hypothesis,
             )
-        else:
-            decision = decide(report, scenario.conflict_threshold)
-            ranked = dict(decision.ranking)
-            rows.append(
-                TraceRow(
-                    time=t,
-                    intervals=tuple((a, ranked[a]) for a in atoms),
-                    cumulative_conflict=report.conflict,
-                    status=decision.status,
-                    reason=decision.reason,
-                    hypothesis=decision.hypothesis,
-                )
-            )
+        )
     return rows
 
 
@@ -382,4 +361,4 @@ def emit_trace(rows: list[TraceRow], fmt: str = "csv") -> str:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown trace format {fmt!r}")
+    raise UnknownTraceFormat(f"unknown trace format {fmt!r}")

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from evident import Frame, MassFunction
+from evident import And, Atom, Frame, Implies, MassFunction, Or
 
 ATOM_POOL = ("lake", "tower", "ridge", "clear", "road", "marsh", "pylon", "creek")
 
@@ -67,3 +67,18 @@ def mass_and_prop(draw, max_atoms: int = 5, max_focals: int = 6):
     frame, m = draw(masses(max_atoms=max_atoms, max_focals=max_focals))
     bits = draw(st.integers(0, (1 << len(frame)) - 1))
     return frame, m, frame.from_bits(bits)
+
+
+def query_trees(names, max_leaves: int = 8, implies: bool = True, max_arity: int = 3):
+    """Random query trees over attribute ``names``: and / or, optionally implies."""
+
+    def branches(kids):
+        options = [
+            st.lists(kids, min_size=2, max_size=max_arity).map(lambda cs: And(*cs)),
+            st.lists(kids, min_size=2, max_size=max_arity).map(lambda cs: Or(*cs)),
+        ]
+        if implies:
+            options.append(st.tuples(kids, kids).map(lambda lr: Implies(*lr)))
+        return st.one_of(options)
+
+    return st.recursive(st.sampled_from(names).map(Atom), branches, max_leaves=max_leaves)

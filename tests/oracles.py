@@ -222,3 +222,72 @@ def best_total_by_search(fragments, schemas: list[dict[str, Fraction]]) -> Fract
         value = math.prod(choice, start=Fraction(1))
         best = max(best, value)
     return best
+
+
+# -- float references for routing -------------------------------------------------
+#
+# The package folds query trees iteratively; these recurse, as the paper states
+# the rule, and multiply in the same order, so their floats must agree bit for
+# bit. They only serve trees shallow enough for the interpreter's stack.
+
+
+def bounds_float_oracle(expr, schema: dict[str, float]) -> tuple[float, float]:
+    """Answerability (support, plausibility) by direct recursion over floats."""
+    if isinstance(expr, Atom):
+        if expr.name in schema:
+            return schema[expr.name], 1.0
+        return 0.0, 0.0
+    if isinstance(expr, And):
+        s, p = 1.0, 1.0
+        for child in expr.children:
+            cs, cp = bounds_float_oracle(child, schema)
+            s *= cs
+            p *= cp
+        return s, p
+    if isinstance(expr, Or):
+        ms, mp = 1.0, 1.0
+        for child in expr.children:
+            cs, cp = bounds_float_oracle(child, schema)
+            ms *= 1.0 - cs
+            mp *= 1.0 - cp
+        return 1.0 - ms, 1.0 - mp
+    raise TypeError(expr)
+
+
+def decompose_float_oracle(expr, sources):
+    """(assignments, total support, unassigned) by the top-down recursive split.
+
+    A sub-tree stays whole when some source has positive weight on every
+    atom in it; it goes to the highest support, then lowest priority, then
+    lowest id. Otherwise the walk descends; atoms nobody answers are left
+    unassigned.
+    """
+    assignments, supports, unassigned = [], [], []
+
+    def walk(node):
+        fits = [
+            (src, bounds_float_oracle(node, src.schema)[0])
+            for src in sources
+            if all(src.schema.get(a, 0.0) > 0.0 for a in _expr_atoms(node))
+        ]
+        if fits:
+            fits.sort(key=lambda pair: (-pair[1], pair[0].priority, pair[0].id))
+            assignments.append((node, fits[0][0].id))
+            supports.append(fits[0][1])
+        elif isinstance(node, Atom):
+            unassigned.append(node)
+        else:
+            for child in node.children:
+                walk(child)
+
+    walk(expr)
+    return tuple(assignments), math.prod(supports), tuple(unassigned)
+
+
+def has_implies(expr) -> bool:
+    """Whether an implication occurs anywhere in the tree."""
+    if isinstance(expr, Implies):
+        return True
+    if isinstance(expr, Atom):
+        return False
+    return any(has_implies(child) for child in expr.children)

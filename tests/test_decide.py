@@ -19,7 +19,7 @@ from evident import (
     vacuous,
 )
 from evident.decide import HIGH_CONFLICT, TIE
-from evident.errors import FrameMismatch, TrivialProposition
+from evident.errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
 
 from .conftest import frames, mass_and_prop, mass_on, masses
 
@@ -164,6 +164,12 @@ class TestDecide:
             decide(report, conflict_threshold=0.0)
         with pytest.raises(ValueError):
             decide(report, conflict_threshold=1.5)
+
+    def test_threshold_error_is_degree_out_of_range(self, lt_frame):
+        report = combine_all([vacuous(lt_frame)])
+        for threshold in (0, 0.0, 1.5, float("nan")):
+            with pytest.raises(DegreeOutOfRange):
+                decide(report, threshold)
 
     @given(st.data())
     def test_ranking_covers_every_atom_once(self, data):

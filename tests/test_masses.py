@@ -24,6 +24,7 @@ from evident import (
 from evident.errors import (
     DegreeOutOfRange,
     EmptyFocus,
+    EvidentError,
     FrameMismatch,
     MassOnEmptySet,
     MissingAtom,
@@ -293,6 +294,12 @@ class TestIntervalType:
             EvidentialInterval(0.7, 0.3)
         with pytest.raises(ValueError):
             EvidentialInterval(-0.1, 0.5)
+
+    def test_disorder_is_an_evident_error(self):
+        with pytest.raises(EvidentError):
+            EvidentialInterval(0.5, 0.2)
+        with pytest.raises(EvidentError):
+            EvidentialInterval(0.2, 1.5)
 
     def test_ignorance_is_width(self):
         assert EvidentialInterval(0.2, 0.7).ignorance == pytest.approx(0.5)

@@ -313,6 +313,16 @@ class TestDescriptors:
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="x", schema={"a": 1.5})
 
+    @pytest.mark.parametrize("weight", ["y", [1], "0.5", True])
+    def test_weight_must_be_a_real_number(self, weight):
+        with pytest.raises(InvalidSource, match="must be a number"):
+            SourceDescriptor(id="x", schema={"a": weight})
+
+    def test_integer_weights_are_floats(self):
+        assert SourceDescriptor(id="x", schema={"a": 1, "b": 0}).schema == {"a": 1.0, "b": 0.0}
+        with pytest.raises(InvalidSource):
+            SourceDescriptor(id="x", schema={"a": 10**400})
+
     def test_blank_id(self):
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="", schema={})

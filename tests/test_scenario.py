@@ -31,6 +31,7 @@ from evident.errors import (
     DegreeOutOfRange,
     EmptyFocus,
     EmptyTrace,
+    EvidentError,
     InvalidReport,
     InvalidWindow,
     ParseError,
@@ -503,6 +504,10 @@ class TestEmitTrace:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_trace(self.one_row(), "yaml")
+
+    def test_unknown_format_is_an_evident_error(self):
+        with pytest.raises(EvidentError):
+            emit_trace(self.one_row(), "xml")
 
     def test_golden_fixture_trace(self):
         scenario = load_scenario((DATA / "lake_tower.json").read_text())
