@@ -1,4 +1,4 @@
-"""Shared JSON parsing with line-aware errors."""
+"""Shared JSON parsing with line-aware errors, and the one number check."""
 
 from __future__ import annotations
 
@@ -35,21 +35,24 @@ def require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def is_number(value) -> bool:
-    """True for an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def number(value, name: str, error=ParseError, lo=-math.inf, hi=math.inf, lo_open=False) -> float:
+    """``value`` as a float if it is a finite int or float, not a bool, in [lo, hi].
 
-
-def number(value, message: str) -> float:
-    """A finite JSON number, not a bool, as a float; otherwise a :class:`ParseError`.
-
-    An integer or a float literal past the float range (``1e400`` parses as
-    ``inf``) is refused too.
+    The range is (lo, hi] when ``lo_open``. Anything else raises ``error``,
+    whose message starts with ``name``. An integer past the float range, or
+    a float literal that parsed as ``inf`` (``1e400``), is outside any range.
     """
-    require(is_number(value), message)
-    try:
-        result = float(value)
-    except OverflowError:  # an integer beyond the float range
-        result = math.inf
-    require(math.isfinite(result), f"{message} within the float range")
-    return result
+    if type(value) is not float:  # a plain float, the common case, is used as it is
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise error(f"{name} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+    if (lo < value if lo_open else lo <= value) and value <= hi and math.isfinite(value):
+        return value
+    if lo == -math.inf and hi == math.inf:
+        bounds = "the float range"
+    else:
+        bounds = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi == math.inf else ']'}"
+    raise error(f"{name} {value!r} outside {bounds}")

@@ -10,7 +10,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from ._jsonutil import number, parse_document, require
+from ._jsonutil import parse_document, require
 from .combine import combine_all
 from .errors import EvidentError, ParseError
 from .frames import Frame
@@ -76,8 +76,7 @@ def _load_masses(text: str) -> tuple[Frame, list[MassFunction]]:
         for entry in entries:
             require(isinstance(entry, dict), "each entry must be a JSON object")
             require(isinstance(entry.get("atoms"), list), "entry needs an 'atoms' list")
-            mass = number(entry.get("mass"), "entry needs a numeric 'mass'")
-            pairs.append((frame.proposition(entry["atoms"]), mass))
+            pairs.append((frame.proposition(entry["atoms"]), entry.get("mass")))
         out.append(MassFunction(frame, pairs))
     return frame, out
 

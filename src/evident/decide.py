@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ._jsonutil import number
 from .combine import CombinationReport
 from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
 from .masses import EvidentialInterval, MassFunction
@@ -85,8 +86,9 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     DECIDED if its interval strictly dominates every rival's, LEANING if
     not, CONFLICTED(tie) when the top belief is shared (within ``TIE_TOL``).
     """
-    if not 0.0 < conflict_threshold <= 1.0:
-        raise DegreeOutOfRange(f"conflict threshold {conflict_threshold!r} outside (0, 1]")
+    conflict_threshold = number(
+        conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
+    )
     m = report.result
     intervals = list(zip(m.frame.atoms, m.singleton_intervals()))
     ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))

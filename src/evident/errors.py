@@ -4,6 +4,11 @@ Every validation failure raises a subclass of :class:`EvidentError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs or I/O
 failures. Where a check used to raise a plain ``ValueError``, its class
 derives from ``ValueError`` too, so ``except ValueError`` keeps working.
+
+Every number the package accepts, from a document or a caller, is a finite
+int or float, not a bool, inside its field's range; anything else (a string,
+``None``, ``NaN``, ``inf``, an integer past the float range) raises that
+field's subclass. ``_jsonutil.number`` is the one check.
 """
 
 
@@ -49,7 +54,7 @@ class MassOnEmptySet(EvidentError):
     """Positive mass may never rest on the empty proposition."""
 
 
-class NegativeMass(EvidentError):
+class NegativeMass(EvidentError, ValueError):
     """Masses must be non-negative."""
 
 
@@ -95,7 +100,11 @@ class TotalConflict(EvidentError):
         self.index = index
 
 
-class FactorOutOfRange(EvidentError):
+class CombinationTooLarge(EvidentError):
+    """One orthogonal sum would pair more focals than ``combine.MAX_PAIRS``."""
+
+
+class FactorOutOfRange(EvidentError, ValueError):
     """Discount factors live in [0, 1]."""
 
 

@@ -104,6 +104,8 @@ class Proposition:
     bits: int
 
     def __post_init__(self):
+        if type(self.bits) is not int:
+            raise UnknownAtom(f"a bitmask must be an int, got {type(self.bits).__name__}")
         if not 0 <= self.bits <= self.frame._full_bits:
             raise UnknownAtom(f"bitmask {self.bits:#x} has bits outside the frame")
 
@@ -293,6 +295,8 @@ def translate_logical(
                 prop = atom_map[node.name]
             except KeyError:
                 raise UnmappedAttribute(f"attribute {node.name!r} has no mapping") from None
+            if not isinstance(prop, Proposition):
+                raise UnmappedAttribute(f"mapping for {node.name!r} is not a proposition")
             if prop.frame != frame:
                 raise FrameMismatch(f"mapping for {node.name!r} targets a different frame")
             return prop

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _kernels
+from ._jsonutil import number
 from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
@@ -44,10 +45,8 @@ class EvidentialInterval:
     plausibility: float
 
     def __post_init__(self):
-        if not 0.0 <= self.support <= self.plausibility <= 1.0:
-            raise InvalidInterval(
-                f"invalid interval [{self.support}, {self.plausibility}]"
-            )
+        support = number(self.support, "interval support", InvalidInterval, 0.0, 1.0)
+        number(self.plausibility, "interval plausibility", InvalidInterval, support, 1.0)
 
     @property
     def ignorance(self) -> float:
@@ -77,9 +76,7 @@ class MassFunction:
         for prop, mass in entries:
             if prop.frame != frame:
                 raise FrameMismatch("focal proposition belongs to a different frame")
-            mass = float(mass)
-            if mass < 0.0 or math.isnan(mass):
-                raise NegativeMass(f"mass {mass!r} on {prop!r}")
+            mass = number(mass, "mass", NegativeMass, 0.0)
             if prop.is_empty:
                 if mass > 0.0:
                     raise MassOnEmptySet("positive mass on the empty proposition")
@@ -203,9 +200,7 @@ def simple_support(frame: Frame, focus: Proposition, degree: float) -> MassFunct
         raise FrameMismatch("focus belongs to a different frame")
     if focus.is_empty:
         raise EmptyFocus("a simple support function needs a non-empty focus")
-    degree = float(degree)
-    if not 0.0 <= degree <= 1.0:
-        raise DegreeOutOfRange(f"support degree {degree!r} outside [0, 1]")
+    degree = number(degree, "support degree", DegreeOutOfRange, 0.0, 1.0)
     return MassFunction(frame, [(focus, degree), (frame.full(), 1.0 - degree)])
 
 
@@ -225,11 +220,4 @@ def bayesian_from_probabilities(frame: Frame, probs: Mapping[str, float]) -> Mas
     missing = [a for a in frame.atoms if a not in probs]
     if missing:
         raise MissingAtom(f"no probability for atoms: {', '.join(missing)}")
-    for name, p in probs.items():
-        if float(p) < 0.0 or math.isnan(float(p)):
-            raise NegativeMass(f"probability {p!r} for atom {name!r}")
-    total = math.fsum(float(p) for p in probs.values())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(total)
-    entries = [(frame.singleton(a), float(probs[a])) for a in frame.atoms]
-    return MassFunction(frame, entries)
+    return MassFunction(frame, [(frame.singleton(a), probs[a]) for a in frame.atoms])

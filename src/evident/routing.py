@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._jsonutil import is_number, number, parse_document, require
+from ._jsonutil import number, parse_document, require
 from .errors import (
     DegreeOutOfRange,
     DuplicateSourceId,
@@ -48,17 +48,16 @@ class SourceDescriptor:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidSource("source id must be a non-empty string")
+        if not isinstance(self.schema, Mapping):
+            raise InvalidSource(f"schema of source {self.id!r} must be a mapping")
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
+            raise InvalidSource(f"priority of source {self.id!r} must be an integer")
         schema = dict(self.schema)
         for attr, weight in schema.items():
             if not isinstance(attr, str) or not attr:
                 raise InvalidSource(f"blank attribute name in source {self.id!r}")
-            # compared before float(): an int past the float range is refused too
-            if not is_number(weight) or not 0.0 <= weight <= 1.0:
-                raise InvalidSource(
-                    f"weight {weight!r} for {attr!r} in source {self.id!r}"
-                    " must be a number in [0, 1]"
-                )
-            schema[attr] = float(weight)
+            name = f"weight of {attr!r} in source {self.id!r}"
+            schema[attr] = number(weight, name, InvalidSource, 0.0, 1.0)
         object.__setattr__(self, "schema", schema)
 
 
@@ -129,9 +128,7 @@ def poll(
     discards all others; ordered by support descending, then priority, then
     id.
     """
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0 or math.isnan(threshold):
-        raise DegreeOutOfRange(f"poll threshold {threshold!r} outside [0, 1]")
+    threshold = number(threshold, "poll threshold", DegreeOutOfRange, 0.0, 1.0)
     scored = []
     for src in sources:
         interval = answerability(query, src)
@@ -220,19 +217,14 @@ def load_sources(text: str) -> list[SourceDescriptor]:
         require(isinstance(obj, dict), "each source must be a JSON object")
         require(isinstance(obj.get("id"), str), "source needs a string 'id'")
         require(isinstance(obj.get("schema"), dict), "source needs a 'schema' object")
-        priority = obj.get("priority", 0)
-        require(
-            isinstance(priority, int) and not isinstance(priority, bool),
-            f"priority of source {obj['id']!r} must be an integer",
-        )
         schema = {
-            attr: number(weight, f"weight of {attr!r} in source {obj['id']!r} must be a number")
+            attr: number(weight, f"weight of {attr!r} in source {obj['id']!r}")
             for attr, weight in obj["schema"].items()
         }
         if obj["id"] in seen:
             raise DuplicateSourceId(f"source id {obj['id']!r} appears twice")
         seen.add(obj["id"])
-        out.append(SourceDescriptor(id=obj["id"], schema=schema, priority=priority))
+        out.append(SourceDescriptor(id=obj["id"], schema=schema, priority=obj.get("priority", 0)))
     return out
 
 

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ._jsonutil import number, parse_document, require
-from .combine import CombinationReport, combine
+from .combine import CombinationReport, _Aggregate, _sum
 from .decide import DecisionStatus, decide
 from .errors import (
     DegreeOutOfRange,
@@ -39,7 +39,6 @@ from .errors import (
     FrameMismatch,
     InvalidReport,
     InvalidWindow,
-    TotalConflict,
     UnknownTraceFormat,
     UnsortedReports,
 )
@@ -65,12 +64,12 @@ class SensorReport:
     def __post_init__(self):
         if not isinstance(self.sensor_id, str) or not self.sensor_id:
             raise InvalidReport("sensor id must be a non-empty string")
-        if not 0.0 <= self.time < math.inf:
-            raise InvalidReport(f"report time {self.time!r} must be finite and >= 0")
+        time = number(self.time, "report time", InvalidReport, 0.0)
         if self.focus.is_empty:
             raise EmptyFocus("report focus must be non-empty")
-        if not 0.0 <= self.degree <= 1.0:
-            raise DegreeOutOfRange(f"report degree {self.degree!r} outside [0, 1]")
+        degree = number(self.degree, "report degree", DegreeOutOfRange, 0.0, 1.0)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "degree", degree)
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,15 @@ class Scenario:
     conflict_threshold: float = 0.95
 
     def __post_init__(self):
-        if not self.window > 0.0:
-            raise InvalidWindow(f"window {self.window!r} must be positive")
-        if not self.step > 0.0:
-            raise InvalidWindow(f"step {self.step!r} must be positive")
-        if not 0.0 <= self.discount_rate <= 1.0:
-            raise FactorOutOfRange(
-                f"discount rate {self.discount_rate!r} outside [0, 1]"
-            )
-        if not 0.0 < self.conflict_threshold <= 1.0:
-            raise DegreeOutOfRange(
-                f"conflict threshold {self.conflict_threshold!r} outside (0, 1]"
-            )
+        for name, error, hi, lo_open in (
+            ("window", InvalidWindow, math.inf, True),
+            ("step", InvalidWindow, math.inf, True),
+            ("discount_rate", FactorOutOfRange, 1.0, False),
+            ("conflict_threshold", DegreeOutOfRange, 1.0, True),
+        ):
+            label = name.replace("_", " ")
+            value = number(getattr(self, name), label, error, 0.0, hi, lo_open)
+            object.__setattr__(self, name, value)
         reports = tuple(self.reports)
         for r in reports:
             if r.focus.frame != self.frame:
@@ -134,29 +130,24 @@ def load_scenario(text: str) -> Scenario:
     require(isinstance(doc, dict), "scenario must be a JSON object")
     require(isinstance(doc.get("frame"), list), "scenario needs a 'frame' list")
     frame = Frame(doc["frame"])
-    params = {}
-    for key, default in (
-        ("window", 10.0),
-        ("step", 1.0),
-        ("discount_rate", 1.0),
-        ("conflict_threshold", 0.95),
-    ):
-        params[key] = number(doc.get(key, default), f"scenario {key!r} must be a number")
+    params = {
+        key: number(doc[key], f"scenario {key!r}")
+        for key in ("window", "step", "discount_rate", "conflict_threshold")
+        if key in doc
+    }
     raw_reports = doc.get("reports", [])
     require(isinstance(raw_reports, list), "'reports' must be a list")
     reports = []
     for obj in raw_reports:
         require(isinstance(obj, dict), "each report must be a JSON object")
         require(isinstance(obj.get("sensor"), str), "report needs a string 'sensor'")
-        time = number(obj.get("t"), "report 't' must be a number")
-        degree = number(obj.get("degree"), "report 'degree' must be a number")
         require(isinstance(obj.get("focus"), list), "report needs a 'focus' list")
         reports.append(
             SensorReport(
                 sensor_id=obj["sensor"],
-                time=time,
+                time=obj.get("t"),
                 focus=frame.proposition(obj["focus"]),
-                degree=degree,
+                degree=obj.get("degree"),
             )
         )
     return Scenario(frame=frame, reports=tuple(reports), **params)
@@ -200,23 +191,6 @@ def _window_bounds(scenario: Scenario, steps: int):
         t = t0 + k * scenario.step
         lo = min(bisect_right(times, t - scenario.window), bisect_left(times, t))
         yield t, lo, bisect_right(times, t)
-
-
-# A window aggregate is a (fused mass function, retained) pair; retained is the
-# product of 1 - step conflict over its combines, as in combine_all. Total
-# conflict is absorbing: its aggregate has no mass function.
-_Aggregate = tuple[MassFunction | None, float]
-_CONTRADICTED: _Aggregate = (None, 0.0)
-
-
-def _sum(a: _Aggregate, b: _Aggregate) -> _Aggregate:
-    if a[0] is None or b[0] is None:
-        return _CONTRADICTED
-    try:
-        report = combine(a[0], b[0])
-    except TotalConflict:
-        return _CONTRADICTED
-    return report.result, a[1] * b[1] * (1.0 - report.conflict)
 
 
 class _TwoStacks:
@@ -290,7 +264,9 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     The grid starts at the first report time and advances by ``step`` up to
     the last report time; a grid of more than ``MAX_GRID_STEPS`` rows raises
     :class:`InvalidWindow`. Total conflict at a step is recorded on the row
-    (vacuous intervals, conflict 1) and the run continues.
+    (vacuous intervals, conflict 1) and the run continues. A window whose fold
+    needs a combine above ``combine.MAX_PAIRS`` refuses the whole run with
+    :class:`CombinationTooLarge`.
     """
     if not scenario.reports:
         return []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,38 @@ class TestRun:
         assert main(["run", "no-such-file.json"]) == 2
         assert "i/o error:" in capsys.readouterr().err
 
+    def test_combination_past_the_pair_cap_exits_1(self, tmp_path):
+        # 40 supports on random 29-atom foci of 32 atoms, all in one window:
+        # the fused focal set doubles with every report
+        rng = random.Random(1)
+        atoms = [f"a{i:02d}" for i in range(32)]
+        reports = [
+            {"sensor": f"s{i:02d}", "t": i, "focus": rng.sample(atoms, 29), "degree": 0.3}
+            for i in range(40)
+        ]
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps({"frame": atoms, "window": 100, "reports": reports}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        capped = (
+            "import sys, evident.cli;"
+            " sys.modules['evident.combine'].MAX_PAIRS = 4096;"
+            " sys.exit(evident.cli.main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "run", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: combining")
+        assert "above the cap of 4096" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestCombine:
     def test_prints_conflict_mass_and_intervals(self, masses_file, capsys):
@@ -208,6 +241,15 @@ class TestCombine:
         path.write_text(json.dumps(doc))
         assert main(["combine", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: atom {")
+
+    def test_combination_past_the_pair_cap_exits_1(self, masses_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys.modules["evident.combine"], "MAX_PAIRS", 3)
+        assert main(["combine", str(masses_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: combining 2 by 2 focals makes 4 focal pairs, above the cap of 3\n"
+        )
+        assert captured.out == ""
 
 
 class TestRoute:

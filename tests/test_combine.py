@@ -6,8 +6,10 @@ oracles.py; closed forms are additionally checked symbolically.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +17,23 @@ from hypothesis import strategies as st
 
 from evident import (
     Frame,
+    Scenario,
+    SensorReport,
     combine,
     combine_all,
     conflict_mass,
     discount,
     mass_new,
+    run_scenario,
     simple_support,
     vacuous,
 )
-from evident.errors import FactorOutOfRange, FrameMismatch, TotalConflict
+from evident.errors import (
+    CombinationTooLarge,
+    FactorOutOfRange,
+    FrameMismatch,
+    TotalConflict,
+)
 
 from .conftest import frames, mass_on
 from .oracles import (
@@ -334,3 +344,72 @@ def test_prune_drops_float_dust(lt_frame):
         simple_support(lt_frame, lake, nearly_one),
     )
     assert {p.bits for p, _ in report.result.focals()} == {lake.bits}
+
+
+combine_module = importlib.import_module("evident.combine")
+
+
+def probe_foci(count: int, seed: int = 1):
+    """A 32-atom frame and ``count`` random 29-atom foci on it.
+
+    Simple supports on such foci share no focal when folded, so the focal
+    set of their fold doubles with every support.
+    """
+    rng = random.Random(seed)
+    frame = Frame([f"a{i:02d}" for i in range(32)])
+    return frame, [frame.proposition(rng.sample(frame.atoms, 29)) for _ in range(count)]
+
+
+class TestPairCap:
+    CAP = 1 << 12
+
+    def test_probe_fold_is_refused(self, monkeypatch):
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", self.CAP)
+        frame, foci = probe_foci(40)
+        supports = [simple_support(frame, focus, 0.3) for focus in foci]
+        acc = supports[0]
+        with pytest.raises(CombinationTooLarge, match=f"above the cap of {self.CAP}"):
+            for m in supports[1:]:
+                acc = combine(acc, m).result
+                assert len(acc) <= self.CAP
+        assert len(acc) * 2 > self.CAP
+        with pytest.raises(CombinationTooLarge):
+            combine_all(supports)
+        with pytest.raises(CombinationTooLarge):
+            conflict_mass(acc, acc)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.9])
+    def test_probe_replay_is_refused(self, monkeypatch, rate):
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", self.CAP)
+        frame, foci = probe_foci(40)
+        reports = tuple(
+            SensorReport(f"s{i:02d}", float(i), focus, 0.3) for i, focus in enumerate(foci)
+        )
+        scenario = Scenario(frame, reports, window=100.0, discount_rate=rate)
+        with pytest.raises(CombinationTooLarge):
+            run_scenario(scenario)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fold_finishes_or_is_refused(self, data):
+        frame = data.draw(frames(min_atoms=2, max_atoms=6))
+        masses = data.draw(
+            st.lists(mass_on(frame, max_focals=8, with_ignorance=True), min_size=2, max_size=6)
+        )
+        cap = data.draw(st.integers(1, 64))
+        # the step at which a fold under the cap must stop, found by hand
+        acc, refused_at = masses[0], None
+        for i, m in enumerate(masses[1:], start=1):
+            if len(acc) * len(m) > cap:
+                refused_at = i
+                break
+            acc = combine(acc, m).result
+            assert len(acc) <= cap
+        with mock.patch.object(combine_module, "MAX_PAIRS", cap):
+            try:
+                report = combine_all(masses)
+            except CombinationTooLarge:
+                assert refused_at is not None
+            else:
+                assert refused_at is None
+                assert len(report.result) <= cap

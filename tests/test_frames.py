@@ -154,6 +154,11 @@ class TestTranslateLogical:
         with pytest.raises(UnmappedAttribute):
             translate_logical(Atom("a"), frame, {})
 
+    def test_mapping_to_a_non_proposition(self):
+        frame = Frame(["x"])
+        with pytest.raises(UnmappedAttribute, match="not a proposition"):
+            translate_logical(Atom("a"), frame, {"a": "x"})
+
     def test_mapping_on_wrong_frame(self):
         frame = Frame(["x"])
         other = Frame(["y"])

@@ -323,6 +323,19 @@ class TestDescriptors:
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="x", schema={"a": 10**400})
 
+    def test_schema_must_be_a_mapping(self):
+        with pytest.raises(InvalidSource, match="must be a mapping"):
+            SourceDescriptor("a", 5)
+
+    @pytest.mark.parametrize("priority", ["x", 0.5, None, True])
+    def test_priority_must_be_an_integer(self, priority):
+        with pytest.raises(InvalidSource, match="must be an integer"):
+            SourceDescriptor("s", {"a": 0.5}, priority=priority)
+
+    def test_priority_type_error_in_a_document(self):
+        with pytest.raises(InvalidSource, match="must be an integer"):
+            load_sources('[{"id": "a", "priority": "1", "schema": {}}]')
+
     def test_blank_id(self):
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="", schema={})
