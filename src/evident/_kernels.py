@@ -3,6 +3,11 @@
 Focal sets are passed as a uint64 bitmask array plus an aligned float64 mass
 array.
 
+:func:`belief_sum` and :func:`plausibility_sum` are the masked sums for one
+target, so their scratch arrays grow with the focal count alone. Every
+interval the package reports reads them, except an atom's belief, which is
+the mass on exactly that atom.
+
 :func:`combine_products` pools the products of every focal pair on the pair's
 intersection by one of two groupings, chosen from the input size alone:
 
@@ -29,24 +34,6 @@ def belief_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float
 def plausibility_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
     """Total mass of focals intersecting ``target``."""
     return float(masses[(bits & target) != 0].sum())
-
-
-def singleton_sums(
-    bits: np.ndarray, masses: np.ndarray, n_atoms: int
-) -> tuple[list[float], list[float]]:
-    """Belief and plausibility of every singleton, in atom order.
-
-    The atom x focal masks are built once; each row is then summed with the
-    same masked ``.sum()`` as :func:`belief_sum` and :func:`plausibility_sum`,
-    so every value is bit-identical to theirs.
-    """
-    atoms = np.left_shift(np.uint64(1), np.arange(n_atoms, dtype=np.uint64))
-    inside = (bits[None, :] & ~atoms[:, None]) == 0
-    meets = (bits[None, :] & atoms[:, None]) != 0
-    return (
-        [float(masses[row].sum()) for row in inside],
-        [float(masses[row].sum()) for row in meets],
-    )
 
 
 def combine_products(

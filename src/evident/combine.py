@@ -18,9 +18,10 @@ import numpy as np
 from . import _kernels
 from ._jsonutil import number
 from .errors import (
-    CombinationTooLarge, EvidentError, FactorOutOfRange, FrameMismatch, TotalConflict
+    CombinationTooLarge, DegreeOutOfRange, EvidentError, FactorOutOfRange, FrameMismatch,
+    TotalConflict,
 )
-from .masses import MassFunction, vacuous
+from .masses import MassFunction
 
 # combination results drop float dust below this, keeping focal sets tight
 # across long fusion chains
@@ -30,7 +31,7 @@ PRUNE_EPS = 1e-15
 TOTAL_CONFLICT_TOL = 1e-12
 
 # combines of more focal pairs are refused: replays stopped by this cap peaked
-# at 432 MB (32 atoms) and 801 MB (64 atoms); the benchmark's largest is 350 k
+# at 160 MB (32 atoms) and 151 MB (64 atoms); the benchmark's largest is 350 k
 MAX_PAIRS = 1 << 21
 
 
@@ -40,6 +41,10 @@ class CombinationReport:
 
     result: MassFunction
     conflict: float
+
+    def __post_init__(self):
+        conflict = number(self.conflict, "conflict", DegreeOutOfRange, 0.0, 1.0)
+        object.__setattr__(self, "conflict", conflict)
 
 
 def _ordered(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, MassFunction]:
@@ -147,16 +152,15 @@ def discount(m: MassFunction, factor: float) -> MassFunction:
     factor = number(factor, "discount factor", FactorOutOfRange, 0.0, 1.0)
     if factor == 1.0:
         return m
-    if factor == 0.0:
-        return vacuous(m.frame)
     full = np.uint64(m.frame._full_bits)
     bits = m._bits
     scaled = m._masses * factor
-    mass_on_full = m.mass(m.frame.full())
-    new_full = 1.0 - factor * (1.0 - mass_on_full)
-    if bits.shape[0] and bits[-1] == full:
+    mass_on_full = 0.0
+    if bits[-1] == full:  # the whole frame sorts last
+        mass_on_full = float(m._masses[-1])
         bits = bits[:-1]
         scaled = scaled[:-1]
+    new_full = 1.0 - factor * (1.0 - mass_on_full)
     if new_full > 0.0:
         bits = np.concatenate([bits, np.array([full], np.uint64)])
         scaled = np.concatenate([scaled, np.array([new_full])])

@@ -90,34 +90,16 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
         conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
     )
     m = report.result
-    intervals = list(zip(m.frame.atoms, m.singleton_intervals()))
+    intervals = zip(m.frame.atoms, m.singleton_intervals())
     ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))
+    (best_atom, best), rivals = ranking[0], ranking[1:]
+    status, hypothesis, reason = DecisionStatus.CONFLICTED, None, None
     if report.conflict >= conflict_threshold:
-        return Decision(
-            status=DecisionStatus.CONFLICTED,
-            hypothesis=None,
-            reason=HIGH_CONFLICT,
-            ranking=ranking,
-            cumulative_conflict=report.conflict,
-        )
-    best_support = ranking[0][1].support
-    tied = [atom for atom, iv in ranking if iv.support >= best_support - TIE_TOL]
-    if len(tied) > 1:
-        return Decision(
-            status=DecisionStatus.CONFLICTED,
-            hypothesis=None,
-            reason=TIE,
-            ranking=ranking,
-            cumulative_conflict=report.conflict,
-        )
-    winner = ranking[0][0]
-    dominant = all(
-        best_support > iv.plausibility for atom, iv in ranking if atom != winner
-    )
-    return Decision(
-        status=DecisionStatus.DECIDED if dominant else DecisionStatus.LEANING,
-        hypothesis=winner,
-        reason=None,
-        ranking=ranking,
-        cumulative_conflict=report.conflict,
-    )
+        reason = HIGH_CONFLICT
+    elif any(iv.support >= best.support - TIE_TOL for _, iv in rivals):
+        reason = TIE
+    else:
+        dominant = all(best.support > iv.plausibility for _, iv in rivals)
+        status = DecisionStatus.DECIDED if dominant else DecisionStatus.LEANING
+        hypothesis = best_atom
+    return Decision(status, hypothesis, reason, ranking, report.conflict)

@@ -2,8 +2,9 @@
 
 Every validation failure raises a subclass of :class:`EvidentError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs or I/O
-failures. Where a check used to raise a plain ``ValueError``, its class
-derives from ``ValueError`` too, so ``except ValueError`` keeps working.
+failures. The range and order errors (``NegativeMass``, ``DegreeOutOfRange``,
+``InvalidInterval``, ``FactorOutOfRange``) and ``UnknownTraceFormat`` also
+derive from ``ValueError``, so ``except ValueError`` catches them.
 
 Every number the package accepts, from a document or a caller, is a finite
 int or float, not a bool, inside its field's range; anything else (a string,

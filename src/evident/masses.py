@@ -119,10 +119,12 @@ class MassFunction:
     def mass(self, prop: Proposition) -> float:
         """Mass on exactly ``prop`` (zero when it is not a focal)."""
         self._check_frame(prop)
-        i = int(np.searchsorted(self._bits, np.uint64(prop.bits)))
-        if i < len(self) and int(self._bits[i]) == prop.bits:
-            return float(self._masses[i])
-        return 0.0
+        return float(self._masses_on(np.uint64(prop.bits)))
+
+    def _masses_on(self, bits: np.ndarray) -> np.ndarray:
+        """Mass on exactly each of ``bits``, by one search of the sorted focals."""
+        at = np.minimum(np.searchsorted(self._bits, bits), len(self) - 1)
+        return np.where(self._bits[at] == bits, self._masses[at], 0.0)
 
     # -- belief measures --------------------------------------------------------
 
@@ -148,12 +150,20 @@ class MassFunction:
         return EvidentialInterval(self.belief(prop), self.plausibility(prop))
 
     def singleton_intervals(self) -> list[EvidentialInterval]:
-        """The interval of every atom in frame order, from one pass.
+        """The interval of every atom in frame order.
 
-        Each equals ``interval(frame.singleton(atom))``, bit for bit.
+        A singleton's only non-empty subset is itself, so its belief is the
+        mass on exactly that atom. Each interval equals
+        ``interval(frame.singleton(atom))``, bit for bit.
         """
-        bel, pl = _kernels.singleton_sums(self._bits, self._masses, len(self.frame))
-        return [EvidentialInterval(min(1.0, b), min(1.0, p)) for b, p in zip(bel, pl)]
+        atoms = np.left_shift(np.uint64(1), np.arange(len(self.frame), dtype=np.uint64))
+        return [
+            EvidentialInterval(
+                min(1.0, bel),
+                min(1.0, _kernels.plausibility_sum(self._bits, self._masses, atom)),
+            )
+            for bel, atom in zip(self._masses_on(atoms).tolist(), atoms)
+        ]
 
     # -- comparison --------------------------------------------------------------
 

@@ -4,8 +4,9 @@ Every callable in ``evident.__all__`` that takes a number gets strings,
 ``None``, nested lists, bools, NaN, infinities, integers past the float range
 and arbitrary numbers in its numeric slot; each call must return or raise an
 :class:`EvidentError`. Values that are not finite numbers must be refused.
-The result records (``CombinationReport``, ``Decision``, ``SupportTriple``,
-``TraceRow``, ``RoutePlan``) are what the package returns, and are left out.
+Of the result records, ``CombinationReport`` is fuzzed, because ``decide``
+takes one; ``Decision``, ``SupportTriple``, ``TraceRow`` and ``RoutePlan``
+are only returned by the package, and are left out.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from evident import (
     Atom,
+    CombinationReport,
     EvidentialInterval,
     Frame,
     MassFunction,
@@ -73,6 +75,7 @@ CALLS = {
     ),
     "discount.factor": lambda v: discount(SUPPORT, v),
     "decide.conflict_threshold": lambda v: decide(combine(SUPPORT, SUPPORT), v),
+    "CombinationReport.conflict": lambda v: decide(CombinationReport(SUPPORT, v)),
     "poll.threshold": lambda v: poll(QUERY, [SourceDescriptor("s", {"a": 0.5})], threshold=v),
     "SourceDescriptor.weight": lambda v: _route(SourceDescriptor("s", {"a": v})),
     "SourceDescriptor.priority": lambda v: _route(SourceDescriptor("s", {"a": 0.5}, priority=v)),

@@ -35,7 +35,7 @@ from evident.errors import (
     TotalConflict,
 )
 
-from .conftest import frames, mass_on
+from .conftest import frames, mass_on, masses
 from .oracles import (
     bel_oracle,
     combine_oracle,
@@ -311,9 +311,10 @@ class TestDiscount:
         assert eroded.mass(lake) == 0.81 * 0.6
         assert eroded.allclose(simple_support(lt_frame, lake, 0.486), atol=1e-12)
 
-    def test_zero_factor_is_vacuous(self, lt_frame):
-        m, _ = lake_tower_pair(lt_frame)
-        assert discount(m, 0.0) == vacuous(lt_frame)
+    @given(masses())
+    def test_zero_factor_is_vacuous(self, frame_and_mass):
+        frame, m = frame_and_mass
+        assert discount(m, 0.0) == vacuous(frame)
 
     def test_factor_out_of_range(self, lt_frame):
         m, _ = lake_tower_pair(lt_frame)

@@ -129,6 +129,20 @@ class TestDecide:
         assert decision.status is DecisionStatus.DECIDED
         assert decision.hypothesis == "lake"
 
+    def test_belief_equal_to_a_rival_plausibility_only_leans(self, lt_frame):
+        m = mass_new(
+            lt_frame,
+            [
+                (lt_frame.proposition(["lake"]), 0.5),
+                (lt_frame.proposition(["tower"]), 0.25),
+                (lt_frame.full(), 0.25),
+            ],
+        )
+        decision = decide(combine_all([m]))
+        assert decision.ranking[0][1].support == decision.ranking[1][1].plausibility == 0.5
+        assert decision.status is DecisionStatus.LEANING
+        assert decision.hypothesis == "lake"
+
     def test_vacuous_is_a_tie(self, lt_frame):
         decision = decide(combine_all([vacuous(lt_frame)]))
         assert decision.status is DecisionStatus.CONFLICTED

@@ -7,6 +7,8 @@ oracles.py, which work on frozensets rather than the package's arrays.
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from evident import (
     Frame,
     MassFunction,
     bayesian_from_probabilities,
+    combine,
     mass_new,
     simple_support,
     vacuous,
@@ -323,3 +326,62 @@ def test_focals_are_sorted_and_typed(sample):
     bits = [p.bits for p, _ in sample.focals()]
     assert bits == sorted(bits)
     assert all(isinstance(w, float) for _, w in sample.focals())
+
+
+WIDE = Frame([f"a{i:02d}" for i in range(64)])
+
+
+def _wide(focals: dict[int, float]) -> MassFunction:
+    return MassFunction(WIDE, [(WIDE.from_bits(b), w) for b, w in focals.items()])
+
+
+class TestSingletonIntervals:
+    """Every atom's interval, on full-width frames, against ``interval``."""
+
+    @staticmethod
+    def _matched(m: MassFunction) -> list[EvidentialInterval]:
+        got = m.singleton_intervals()
+        assert got == [m.interval(m.frame.singleton(a)) for a in m.frame.atoms]
+        return got
+
+    def test_focal_on_the_top_bit(self):
+        m = _wide({1: 0.125, 3: 0.25, 1 << 63: 0.125, (1 << 64) - 1: 0.5})
+        got = self._matched(m)
+        assert tuple(got[0]) == (0.125, 0.875)
+        assert tuple(got[63]) == (0.125, 0.625)
+        assert tuple(got[5]) == (0.0, 0.5)
+
+    def test_no_singleton_focal(self):
+        m = _wide({3: 0.5, 3 << 62: 0.25, (1 << 64) - 1: 0.25})
+        got = self._matched(m)
+        assert all(iv.support == 0.0 for iv in got)
+        assert (got[0].plausibility, got[63].plausibility, got[5].plausibility) == (
+            0.75, 0.5, 0.25
+        )
+
+    @given(st.data())
+    def test_matches_the_interval_of_each_singleton(self, data):
+        focal = st.integers(1, (1 << 64) - 1) | st.sampled_from([1 << i for i in range(64)])
+        bits = data.draw(st.lists(focal, min_size=1, max_size=8, unique=True))
+        k = len(bits)
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        total = math.fsum(weights)
+        self._matched(_wide({b: w / total for b, w in zip(bits, weights)}))
+
+    def test_memory_does_not_grow_with_atoms_times_focals(self):
+        # two 317-focal operands meet in about 100 k distinct focals
+        rng = random.Random(1)
+
+        def operand():
+            bits = {rng.getrandbits(64) | 1 for _ in range(317)}
+            return _wide({b: 1.0 / len(bits) for b in bits})
+
+        m = combine(operand(), operand()).result
+        assert len(m) > 90_000
+        tracemalloc.start()
+        try:
+            m.singleton_intervals()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * len(m)
