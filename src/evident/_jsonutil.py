@@ -1,11 +1,12 @@
-"""Shared JSON parsing with line-aware errors, and the one number check."""
+"""Shared JSON parsing with line-aware errors, the one number check and the
+one type check."""
 
 from __future__ import annotations
 
 import json
 import math
 
-from .errors import ParseError
+from .errors import ParseError, WrongType
 
 
 def _reject_constant(name: str):
@@ -56,3 +57,10 @@ def number(value, name: str, error=ParseError, lo=-math.inf, hi=math.inf, lo_ope
     else:
         bounds = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi == math.inf else ']'}"
     raise error(f"{name} {value!r} outside {bounds}")
+
+
+def of_type(value, kind: type, name: str):
+    """``value`` if it is an instance of ``kind``, else :class:`WrongType`."""
+    if not isinstance(value, kind):
+        raise WrongType(f"{name} must be of type {kind.__name__}, not {type(value).__name__}")
+    return value

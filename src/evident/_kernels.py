@@ -19,6 +19,13 @@ intersection by one of two groupings, chosen from the input size alone:
 
 Both return the same arrays bit for bit: groups ascend by mask, and each
 group's products are added in input order by a weighted ``np.bincount``.
+
+:func:`support_products` is the same pooling for many sums at once, each of
+an accumulator with a two-focal simple support, as the aged replay folds
+every step of a block in lockstep. Rows are grouped by (step, mask) by a
+least-significant-digit radix sort: numpy's stable sort of 16-bit keys, over
+the mask 16 bits at a time and then over the block-local step id, so no
+composite key has to fit in the 64 bits a 64-atom mask already fills.
 """
 
 from __future__ import annotations
@@ -60,3 +67,45 @@ def combine_products(
     group_bits, inverse = np.unique(inter, return_inverse=True)
     group_sums = np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
     return group_bits, group_sums
+
+
+def support_products(
+    step: np.ndarray,
+    bits: np.ndarray,
+    masses: np.ndarray,
+    focus: np.ndarray,
+    degree: np.ndarray,
+    n_atoms: int,
+):
+    """Each accumulator's focals times its simple support, pooled by intersection.
+
+    Row i is focal ``bits[i]`` of accumulator ``step[i]`` with mass
+    ``masses[i]``; accumulator k's support puts ``degree[k]`` on ``focus[k]``
+    and the rest on the whole frame, so focal A of mass m yields
+    ``(A & focus, m * degree)`` and ``(A, m * (1 - degree))``. Returns
+    (step, bits, sums): one row per distinct (step, mask), ascending by step
+    and then by mask (possibly 0, the conflict group), each sum adding its
+    products in input order.
+    """
+    inter = np.concatenate([bits & focus[step], bits])
+    prod = np.concatenate([masses * degree[step], masses * (1.0 - degree)[step]])
+    step = np.concatenate([step, step])
+    # least significant digit first: numpy sorts 16-bit keys stably, by radix.
+    # The rows move after each pass, one array at a time, which holds less
+    # than composing the orders.
+    for shift in range(0, n_atoms, 16):
+        order = np.argsort((inter >> np.uint64(shift)).astype(np.uint16), kind="stable")
+        step = step[order]
+        inter = inter[order]
+        prod = prod[order]
+    order = np.argsort(step, kind="stable")
+    step = step[order]
+    inter = inter[order]
+    prod = prod[order]
+    del order
+    first = np.ones(step.shape[0], dtype=bool)
+    first[1:] = (step[1:] != step[:-1]) | (inter[1:] != inter[:-1])
+    start = np.flatnonzero(first)
+    # bincount adds in input order; np.add.reduceat would sum pairwise
+    sums = np.bincount(np.cumsum(first) - 1, weights=prod, minlength=start.shape[0])
+    return step[start], inter[start], sums

@@ -5,18 +5,22 @@ and pooling each product on the pair's intersection. Mass landing on the
 empty set is the conflict; the remainder is scaled back up by the
 proportionality constant 1/(1 - conflict). Total conflict (all products
 empty) is an error, never a silent NaN.
+
+The aged replay makes the same sum for many accumulators at once, each with
+one simple support (:func:`_sum_supports`); both paths read the pair cap,
+the pruning floor and the total-conflict tolerance from this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._jsonutil import number
+from ._jsonutil import number, of_type
 from .errors import (
     CombinationTooLarge, DegreeOutOfRange, EvidentError, FactorOutOfRange, FrameMismatch,
     TotalConflict,
@@ -43,6 +47,7 @@ class CombinationReport:
     conflict: float
 
     def __post_init__(self):
+        of_type(self.result, MassFunction, "combination result")
         conflict = number(self.conflict, "conflict", DegreeOutOfRange, 0.0, 1.0)
         object.__setattr__(self, "conflict", conflict)
 
@@ -55,17 +60,23 @@ def _ordered(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, MassFunc
     return (m1, m2) if k1 <= k2 else (m2, m1)
 
 
+def _check_pairs(n1: int, n2: int) -> None:
+    """Refuse one orthogonal sum of ``n1`` by ``n2`` focals above ``MAX_PAIRS``."""
+    if n1 * n2 > MAX_PAIRS:
+        raise CombinationTooLarge(
+            f"combining {n1} by {n2} focals makes {n1 * n2} focal pairs,"
+            f" above the cap of {MAX_PAIRS}"
+        )
+
+
 def _grouped(m1: MassFunction, m2: MassFunction):
     """(conflict, group bits, group sums): the pair's products pooled by
     intersection, with the empty intersection's share split off as conflict."""
+    of_type(m1, MassFunction, "combined evidence")
+    of_type(m2, MassFunction, "combined evidence")
     if m1.frame != m2.frame:
         raise FrameMismatch("cannot combine evidence on different frames")
-    pairs = m1._bits.shape[0] * m2._bits.shape[0]
-    if pairs > MAX_PAIRS:
-        raise CombinationTooLarge(
-            f"combining {len(m1)} by {len(m2)} focals makes {pairs} focal pairs,"
-            f" above the cap of {MAX_PAIRS}"
-        )
+    _check_pairs(len(m1), len(m2))
     a, b = _ordered(m1, m2)
     group_bits, group_sums = _kernels.combine_products(
         a._bits, a._masses, b._bits, b._masses, len(m1.frame)
@@ -123,6 +134,45 @@ def _sum(a: _Aggregate, b: _Aggregate) -> _Aggregate:
     return report.result, a[1] * b[1] * (1.0 - report.conflict)
 
 
+def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
+    """:func:`combine` of many accumulators at once, each with a simple support.
+
+    The accumulators are flat rows, ascending by step and then by mask, as
+    :func:`_kernels.support_products` takes and returns them; accumulator k
+    is summed with the support of ``degree[k]`` on ``focus[k]``. Each sum is
+    the one ``combine`` makes: its conflict is the empty intersection's
+    share, and the rest is scaled by its own total and pruned below
+    ``PRUNE_EPS``. A totally conflicting sum keeps no rows, so no later
+    support can revive it: total conflict is absorbing.
+
+    Returns (step, bits, masses, conflict per accumulator). One sum above
+    ``MAX_PAIRS`` focal pairs raises :class:`CombinationTooLarge`; when the
+    pairs of all the sums and the ``held`` rows the caller keeps elsewhere
+    together exceed it, nothing is summed and None is returned, so that the
+    caller sums fewer accumulators at a time.
+    """
+    counts = np.bincount(step, minlength=degree.shape[0])
+    # a support of degree 0 or 1, or on the whole frame, has one focal
+    full = np.uint64((1 << n_atoms) - 1)
+    focals = np.where((degree == 0.0) | (degree == 1.0) | (focus == full), 1, 2)
+    pairs = counts * focals
+    worst = int(np.argmax(pairs))
+    _check_pairs(int(counts[worst]), int(focals[worst]))
+    if int(pairs.sum()) + held > MAX_PAIRS:
+        return None
+    step, bits, sums = _kernels.support_products(
+        step, bits, masses, focus, degree, n_atoms
+    )
+    empty = bits == 0
+    conflict = np.zeros(degree.shape[0])
+    conflict[step[empty]] = sums[empty]
+    live = ~empty & (conflict < 1.0 - TOTAL_CONFLICT_TOL)[step]
+    step, bits, sums = step[live], bits[live], sums[live]
+    scaled = sums / np.bincount(step, weights=sums, minlength=degree.shape[0])[step]
+    keep = scaled >= PRUNE_EPS
+    return step[keep], bits[keep], scaled[keep], conflict
+
+
 def combine_all(masses: Sequence[MassFunction]) -> CombinationReport:
     """Left fold of :func:`combine` over a non-empty list.
 
@@ -131,7 +181,10 @@ def combine_all(masses: Sequence[MassFunction]) -> CombinationReport:
     equals the pairwise conflict for a single step. :class:`TotalConflict`
     carries the index of the input that made the fold contradictory.
     """
-    masses = list(masses)
+    masses = [
+        of_type(m, MassFunction, "combined evidence")
+        for m in of_type(masses, Iterable, "combine_all masses")
+    ]
     if not masses:
         raise EvidentError("combine_all needs at least one mass function")
     acc = (masses[0], 1.0)
@@ -149,6 +202,7 @@ def discount(m: MassFunction, factor: float) -> MassFunction:
     remainder moves onto the whole frame. Factor 1 is the identity, factor 0
     the vacuous distribution.
     """
+    of_type(m, MassFunction, "discounted evidence")
     factor = number(factor, "discount factor", FactorOutOfRange, 0.0, 1.0)
     if factor == 1.0:
         return m

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ._jsonutil import number
+from ._jsonutil import number, of_type
 from .combine import CombinationReport
 from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
 from .masses import EvidentialInterval, MassFunction
@@ -66,7 +66,8 @@ def support_pro_con(m: MassFunction, prop: Proposition) -> SupportTriple:
     Pro is the belief in the statement, con the belief in its negation, and
     the rest is suspended mass that could still shift either way.
     """
-    if prop.frame != m.frame:
+    of_type(m, MassFunction, "evidence")
+    if of_type(prop, Proposition, "proposition").frame != m.frame:
         raise FrameMismatch("proposition belongs to a different frame")
     if prop.is_empty or prop.is_full:
         raise TrivialProposition(
@@ -89,7 +90,7 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     conflict_threshold = number(
         conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
     )
-    m = report.result
+    m = of_type(report, CombinationReport, "decided report").result
     intervals = zip(m.frame.atoms, m.singleton_intervals())
     ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))
     (best_atom, best), rivals = ranking[0], ranking[1:]

@@ -9,12 +9,18 @@ derive from ``ValueError``, so ``except ValueError`` catches them.
 Every number the package accepts, from a document or a caller, is a finite
 int or float, not a bool, inside its field's range; anything else (a string,
 ``None``, ``NaN``, ``inf``, an integer past the float range) raises that
-field's subclass. ``_jsonutil.number`` is the one check.
+field's subclass. ``_jsonutil.number`` is the one check. Every other argument
+of the wrong type (a string where a mass function belongs) raises
+:class:`WrongType`, also a ``TypeError``; ``_jsonutil.of_type`` is that check.
 """
 
 
 class EvidentError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class WrongType(EvidentError, TypeError):
+    """An argument is not of the type the call takes."""
 
 
 # frames / propositions ------------------------------------------------------

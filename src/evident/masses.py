@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _kernels
-from ._jsonutil import number
+from ._jsonutil import number, of_type
 from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
@@ -73,8 +73,8 @@ class MassFunction:
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[Proposition, float]]):
         merged: dict[int, float] = {}
-        for prop, mass in entries:
-            if prop.frame != frame:
+        for prop, mass in of_type(entries, Iterable, "mass entries"):
+            if of_type(prop, Proposition, "focal proposition").frame != frame:
                 raise FrameMismatch("focal proposition belongs to a different frame")
             mass = number(mass, "mass", NegativeMass, 0.0)
             if prop.is_empty:
@@ -191,7 +191,7 @@ class MassFunction:
         return f"MassFunction({inner})"
 
     def _check_frame(self, prop: Proposition) -> None:
-        if prop.frame != self.frame:
+        if of_type(prop, Proposition, "proposition").frame != self.frame:
             raise FrameMismatch("proposition belongs to a different frame")
 
 
@@ -206,7 +206,7 @@ def simple_support(frame: Frame, focus: Proposition, degree: float) -> MassFunct
     Mass ``degree`` goes to the focus and the remainder to the whole frame;
     degree 0 yields the vacuous distribution, degree 1 commits everything.
     """
-    if focus.frame != frame:
+    if of_type(focus, Proposition, "support focus").frame != frame:
         raise FrameMismatch("focus belongs to a different frame")
     if focus.is_empty:
         raise EmptyFocus("a simple support function needs a non-empty focus")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._jsonutil import number, parse_document, require
+from ._jsonutil import number, of_type, parse_document, require
 from .errors import (
     DegreeOutOfRange,
     DuplicateSourceId,
@@ -113,7 +113,8 @@ def answerability(query: QueryExpr, src: SourceDescriptor) -> EvidentialInterval
     attributes), disjunctions by co-product. Implications are not routable
     and must be rewritten by the caller.
     """
-    support, plausibility, _ = _fold(query, lambda node, kids: _bounds(node, kids, src.schema))
+    schema = of_type(src, SourceDescriptor, "source").schema
+    support, plausibility, _ = _fold(query, lambda node, kids: _bounds(node, kids, schema))
     return EvidentialInterval(support, plausibility)
 
 
@@ -147,7 +148,10 @@ def decompose(query: QueryExpr, shortlist: Sequence[SourceDescriptor]) -> RouteP
     then id. Atoms no source answers are reported unassigned. The plan's
     total support multiplies the assigned fragments' supports.
     """
-    shortlist = list(shortlist)
+    shortlist = [
+        of_type(src, SourceDescriptor, "shortlisted source")
+        for src in of_type(shortlist, Iterable, "shortlist")
+    ]
     if not shortlist:
         raise EmptyShortlist("decompose needs at least one candidate source")
     # (fragment, source id or None when unassigned, support), left to right
@@ -184,7 +188,7 @@ def make_view(name: str, parts: Sequence[SourceDescriptor]) -> SourceDescriptor:
     The view answers an attribute as well as its best member does (max
     weight) and inherits the most preferred priority.
     """
-    parts = list(parts)
+    parts = [of_type(p, SourceDescriptor, "view part") for p in of_type(parts, Iterable, "parts")]
     if len(parts) < 2:
         raise TooFewParts("a view needs at least two member sources")
     shared = set(parts[0].schema)

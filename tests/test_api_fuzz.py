@@ -1,9 +1,12 @@
-"""Fuzzing the numeric parameters of the public API: only EvidentError escapes.
+"""Fuzzing the parameters of the public API: only EvidentError escapes.
 
 Every callable in ``evident.__all__`` that takes a number gets strings,
 ``None``, nested lists, bools, NaN, infinities, integers past the float range
 and arbitrary numbers in its numeric slot; each call must return or raise an
 :class:`EvidentError`. Values that are not finite numbers must be refused.
+Every slot that takes one of the package's objects (a mass function, a
+proposition, a report, a scenario, a source) gets strings, numbers, ``None``,
+lists, mappings and a query, and must refuse them with :class:`WrongType`.
 Of the result records, ``CombinationReport`` is fuzzed, because ``decide``
 takes one; ``Decision``, ``SupportTriple``, ``TraceRow`` and ``RoutePlan``
 are only returned by the package, and are left out.
@@ -27,18 +30,23 @@ from evident import (
     Scenario,
     SensorReport,
     SourceDescriptor,
+    answerability,
     bayesian_from_probabilities,
     combine,
+    combine_all,
+    conflict_mass,
     decide,
     decompose,
     discount,
     emit_trace,
+    make_view,
     mass_new,
     poll,
     run_scenario,
     simple_support,
+    support_pro_con,
 )
-from evident.errors import EvidentError
+from evident.errors import EvidentError, WrongType
 
 FRAME = Frame(["lake", "tower"])
 LAKE = FRAME.singleton("lake")
@@ -117,3 +125,43 @@ def test_only_evident_errors_escape(call, value):
         call(value)
     except EvidentError:
         pass
+
+
+# one call per object parameter, with the value in that slot
+OBJECT_CALLS = {
+    "combine.m1": lambda v: combine(v, SUPPORT),
+    "combine.m2": lambda v: combine(SUPPORT, v),
+    "conflict_mass.m2": lambda v: conflict_mass(SUPPORT, v),
+    "combine_all.masses": lambda v: combine_all(v),
+    "combine_all.item": lambda v: combine_all([SUPPORT, v]),
+    "discount.m": lambda v: discount(v, 0.5),
+    "simple_support.focus": lambda v: simple_support(FRAME, v, 0.5),
+    "MassFunction.proposition": lambda v: MassFunction(FRAME, [(v, 1.0)]),
+    "CombinationReport.result": lambda v: CombinationReport(v, 0.0),
+    "SensorReport.focus": lambda v: SensorReport("eo", 0.0, v, 0.5),
+    "Scenario.frame": lambda v: Scenario(v, ()),
+    "Scenario.report": lambda v: Scenario(FRAME, [v]),
+    "run_scenario.scenario": lambda v: run_scenario(v),
+    "answerability.source": lambda v: answerability(QUERY, v),
+    "decompose.source": lambda v: decompose(QUERY, [v]),
+    "make_view.part": lambda v: make_view("v", [SourceDescriptor("s", {"a": 0.5}), v]),
+    "decide.report": lambda v: decide(v),
+    "support_pro_con.m": lambda v: support_pro_con(v, LAKE),
+    "support_pro_con.proposition": lambda v: support_pro_con(SUPPORT, v),
+    "MassFunction.interval": lambda v: SUPPORT.interval(v),
+    "emit_trace.row": lambda v: emit_trace([v]),
+}
+
+NOT_OBJECTS = ["x", "a", None, 0.5, 7, True, [["lake"]], {"lake": 1.0}, QUERY]
+
+
+@pytest.mark.parametrize("call", OBJECT_CALLS.values(), ids=OBJECT_CALLS.keys())
+@pytest.mark.parametrize("value", NOT_OBJECTS, ids=repr)
+def test_objects_of_the_wrong_type_are_refused(call, value):
+    with pytest.raises(WrongType):
+        call(value)
+
+
+def test_wrong_type_is_also_a_type_error():
+    with pytest.raises(TypeError):
+        combine(SUPPORT, "x")

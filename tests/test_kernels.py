@@ -70,3 +70,42 @@ def test_combine_products_on_sixty_four_atoms_sorts(seed, size):
     got = K.combine_products(bits, weights, other, weights, 64)
     want = grouped_products_oracle(bits, weights, other, weights)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_atoms=st.sampled_from([1, 3, 16, 17, 40, 64]),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_atoms=64, sizes=[3, 1, 5], seed=0)
+def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
+    # each step's rows are that step's focals grouped with its support's, bit
+    # for bit as the reference pools the support's products (support first)
+    rng = np.random.default_rng(seed)
+    full = np.uint64((1 << n_atoms) - 1)
+    focals = [
+        np.unique(rng.integers(1, int(full), size, dtype=np.uint64, endpoint=True))
+        for size in sizes
+    ]
+    steps = len(focals)
+    masses = [rng.random(f.shape[0]) for f in focals]
+    focus = rng.integers(1, int(full), steps, dtype=np.uint64, endpoint=True)
+    focus[::3] = full
+    focus[1::4] = np.uint64(1) << np.uint64(n_atoms - 1)
+    degree = rng.random(steps)
+    degree[::4] = 0.0
+    degree[2::5] = 1.0
+    step = np.repeat(np.arange(steps, dtype=np.int16), [f.shape[0] for f in focals])
+    got_step, got_bits, got_sums = K.support_products(
+        step, np.concatenate(focals), np.concatenate(masses), focus, degree, n_atoms
+    )
+    assert np.all(np.diff(got_step) >= 0)
+    for k in range(steps):
+        mine = got_step == k
+        want_bits, want_sums = grouped_products_oracle(
+            np.array([focus[k], full]), np.array([degree[k], 1.0 - degree[k]]),
+            focals[k], masses[k],
+        )
+        assert np.array_equal(got_bits[mine], want_bits)
+        assert np.array_equal(got_sums[mine], want_sums)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
+import random
+import tracemalloc
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -43,6 +47,8 @@ from evident.errors import (
 from .conftest import ATOM_POOL
 
 DATA = Path(__file__).parent / "data"
+
+combine_module = importlib.import_module("evident.combine")
 
 
 def scenario_from(frame_atoms, report_tuples, **params) -> Scenario:
@@ -380,7 +386,7 @@ def report_streams(draw):
         reports=tuple(SensorReport(*r) for r in stream),
         window=draw(st.sampled_from((0.25, 0.5, 1.0, 2.5, 4.0, 10.0))),
         step=draw(st.sampled_from((0.5, 1.0, 1.5, 3.0))),
-        discount_rate=draw(st.sampled_from((1.0, 0.9, 0.0))),
+        discount_rate=draw(st.sampled_from((1.0, 0.99, 0.9, 0.5, 0.0))),
         conflict_threshold=draw(st.sampled_from((0.5, 0.95, 1.0))),
     )
 
@@ -393,35 +399,182 @@ def _clash_then_calm() -> Scenario:
     return scenario_from(["lake", "tower", "ridge"], reports, window=3.0, step=0.5)
 
 
+def assert_matches_reference(scenario: Scenario) -> None:
+    """The replay equals the stateless per-step refold within 1e-12.
+
+    Statuses must be equal away from the margins of the decision rule.
+    """
+    rows = run_scenario(scenario)
+    expected = replay_reference(scenario)
+    assert [row.time for row in rows] == [t for t, _ in expected]
+    frame = scenario.frame
+    for row, (_, report) in zip(rows, expected):
+        if report is None:
+            assert row.status is DecisionStatus.CONFLICTED
+            assert row.reason == HIGH_CONFLICT
+            assert row.cumulative_conflict == 1.0
+            continue
+        want = {atom: report.result.interval(frame.singleton(atom)) for atom in frame.atoms}
+        got = dict(row.intervals)
+        for atom in frame.atoms:
+            assert abs(got[atom].support - want[atom].support) <= 1e-12
+            assert abs(got[atom].plausibility - want[atom].plausibility) <= 1e-12
+        assert abs(row.cumulative_conflict - report.conflict) <= 1e-12
+        if not near_decision_margin(want, report.conflict, scenario.conflict_threshold):
+            decision = decide(report, scenario.conflict_threshold)
+            assert (row.status, row.reason, row.hypothesis) == (
+                decision.status,
+                decision.reason,
+                decision.hypothesis,
+            )
+
+
+def aged_stream(seed, atoms, count, interval, window, rate, step=1.0, focus=None):
+    """A seeded stream of ``count`` reports ``interval`` apart on ``atoms`` atoms.
+
+    ``focus(rng, frame, i)`` picks report i's focus, by default one to three
+    random atoms. Degrees are multiples of 0.05 up to 0.6.
+    """
+    rng = random.Random(seed)
+    frame = Frame([f"a{i:02d}" for i in range(atoms)])
+    focus = focus or _one_to_three_atoms
+    reports = tuple(
+        SensorReport(
+            f"s{rng.randrange(5)}", i * interval, focus(rng, frame, i), rng.randint(1, 12) / 20
+        )
+        for i in range(count)
+    )
+    return Scenario(frame, reports, window=window, step=step, discount_rate=rate)
+
+
+def _one_to_three_atoms(rng, frame, i):
+    return frame.proposition(rng.sample(frame.atoms, rng.randint(1, 3)))
+
+
+def _on_bit_63(rng, frame, i):
+    atoms = rng.sample(frame.atoms[:63], rng.randint(0, 2))
+    return frame.proposition(atoms + ["a63"] if rng.random() < 0.7 or not atoms else atoms)
+
+
+def _whole_frame_every_fourth(rng, frame, i):
+    return frame.full() if i % 4 == 0 else _one_to_three_atoms(rng, frame, i)
+
+
+def _certain_clash_mid_window() -> Scenario:
+    # three reports at t=6: the first two are certain on disjoint atoms, so
+    # the fold is contradicted mid-window and the third must not revive it;
+    # at later steps the pair has aged below certainty, and then left. At
+    # t=9 the clash is short of certain by 1e-13, inside TOTAL_CONFLICT_TOL.
+    atoms = ["lake", "tower", "ridge"]
+    reports = [("eo", k / 2, [atoms[2 * (k % 2)]], 0.35) for k in range(12)]
+    reports += [("c1", 6.0, ["lake"], 1.0), ("c2", 6.0, ["tower"], 1.0)]
+    reports += [("c3", 6.0, ["lake"], 0.5)]
+    reports += [("d1", 9.0, ["lake"], 1.0), ("d2", 9.0, ["tower"], 1.0 - 1e-13)]
+    reports += [
+        ("ir", 6 + k / 2, [("tower", "lake", "ridge")[k % 3]], 1.0 if k == 3 else 0.4)
+        for k in range(1, 16)
+    ]
+    reports.sort(key=lambda r: r[1])
+    return scenario_from(atoms, reports, window=4.0, step=0.5, discount_rate=0.5)
+
+
+AGED_CASES = {
+    "window-of-120-rate-0": lambda: aged_stream(1, 4, 240, 0.1, 12.0, 0.0),
+    "window-of-120-rate-0.5": lambda: aged_stream(2, 4, 240, 0.1, 12.0, 0.5),
+    "window-of-120-rate-0.99": lambda: aged_stream(3, 4, 240, 0.1, 12.0, 0.99),
+    "64-atoms-foci-on-bit-63": lambda: aged_stream(
+        4, 64, 160, 0.5, 10.0, 0.9, focus=_on_bit_63
+    ),
+    "whole-frame-focus": lambda: aged_stream(
+        5, 3, 80, 0.5, 8.0, 0.9, focus=_whole_frame_every_fourth
+    ),
+    "certain-clash-mid-window": _certain_clash_mid_window,
+    "grid-across-block-seams": lambda: aged_stream(6, 4, 400, 0.5, 5.0, 0.9, step=0.5),
+}
+
+
 class TestReplayProperties:
     @given(report_streams())
     @example(_clash_then_calm())
     def test_incremental_matches_per_step_recompute(self, scenario):
-        rows = run_scenario(scenario)
-        expected = replay_reference(scenario)
-        assert [row.time for row in rows] == [t for t, _ in expected]
-        frame = scenario.frame
-        for row, (_, report) in zip(rows, expected):
-            if report is None:
-                assert row.status is DecisionStatus.CONFLICTED
-                assert row.reason == HIGH_CONFLICT
-                assert row.cumulative_conflict == 1.0
-                continue
-            want = {
-                atom: report.result.interval(frame.singleton(atom)) for atom in frame.atoms
-            }
-            got = dict(row.intervals)
-            for atom in frame.atoms:
-                assert abs(got[atom].support - want[atom].support) <= 1e-12
-                assert abs(got[atom].plausibility - want[atom].plausibility) <= 1e-12
-            assert abs(row.cumulative_conflict - report.conflict) <= 1e-12
-            if not near_decision_margin(want, report.conflict, scenario.conflict_threshold):
-                decision = decide(report, scenario.conflict_threshold)
-                assert (row.status, row.reason, row.hypothesis) == (
-                    decision.status,
-                    decision.reason,
-                    decision.hypothesis,
-                )
+        assert_matches_reference(scenario)
+
+    @pytest.mark.parametrize("make", AGED_CASES.values(), ids=AGED_CASES.keys())
+    def test_aged_replay_matches_per_step_recompute(self, make):
+        assert_matches_reference(make())
+
+    def test_aged_cases_cover_what_they_name(self):
+        long_window = AGED_CASES["window-of-120-rate-0.5"]()
+        times = [r.time for r in long_window.reports]
+        assert max(bisect_right(times, t) - bisect_right(times, t - 12.0) for t in times) >= 100
+        wide = AGED_CASES["64-atoms-foci-on-bit-63"]()
+        assert any(r.focus.bits >> 63 for r in wide.reports)
+        seams = AGED_CASES["grid-across-block-seams"]()
+        assert len(run_scenario(seams)) > 3 * scenario_module._BLOCK_STEPS
+        conflicts = [row.cumulative_conflict for row in run_scenario(_certain_clash_mid_window())]
+        assert conflicts.count(1.0) == 2 and conflicts[-1] < 1.0
+
+    def test_aged_replay_builds_no_supports_and_no_pairwise_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the aged replay folds in lockstep")
+
+        scenario = AGED_CASES["grid-across-block-seams"]()
+        want = emit_trace(run_scenario(scenario))
+        monkeypatch.setattr(scenario_module, "simple_support", refuse)
+        monkeypatch.setattr(combine_module, "combine", refuse)
+        assert emit_trace(run_scenario(scenario)) == want
+
+    def test_block_over_the_pair_cap_folds_one_step_at_a_time(self, monkeypatch):
+        scenario = AGED_CASES["grid-across-block-seams"]()
+        want = emit_trace(run_scenario(scenario))
+        sizes = []
+        fold_block = scenario_module._fold_block
+
+        def spy(scenario, block):
+            sizes.append(len(block))
+            return fold_block(scenario, block)
+
+        monkeypatch.setattr(scenario_module, "_fold_block", spy)
+        # above any one sum of a 4-atom fold (15 by 2 focals), below a block's
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", 64)
+        assert emit_trace(run_scenario(scenario)) == want
+        assert sizes.count(scenario_module._BLOCK_STEPS) > 1 and 1 in sizes
+
+    def test_aged_memory_is_flat_in_grid_length(self):
+        # one focus per report of the 40-report window, so every full window
+        # holds the same evidence and every block folds alike
+        frame = Frame([f"a{i:02d}" for i in range(16)])
+        rng = random.Random(0)
+        foci = [
+            frame.from_bits(
+                (rng.random() < 0.8)
+                | sum(1 << a for a in rng.sample(range(1, 16), rng.randint(1, 4)))
+            )
+            for _ in range(40)
+        ]
+
+        def stream(steps):
+            reports = tuple(
+                SensorReport(f"s{i % 10}", i * 0.5, foci[i % 40], 0.05 + 0.05 * (i % 11))
+                for i in range(2 * steps - 1)
+            )
+            return Scenario(frame, reports, window=20.0, step=1.0, discount_rate=0.99)
+
+        def peak_above_rows(scenario):
+            # the rows grow with the grid by construction; what the fold
+            # holds besides them must not
+            tracemalloc.start()
+            try:
+                rows = run_scenario(scenario)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == round(scenario.reports[-1].time) + 1
+            return peak - current
+
+        short, long = stream(200), stream(2000)
+        run_scenario(short)
+        assert peak_above_rows(long) <= 1.25 * peak_above_rows(short)
 
     @given(st.data())
     def test_valid_input_never_raises(self, data):
@@ -508,6 +661,13 @@ class TestEmitTrace:
     def test_unknown_format_is_an_evident_error(self):
         with pytest.raises(EvidentError):
             emit_trace(self.one_row(), "xml")
+
+    def test_aged_golden_fixture_trace(self):
+        scenario = load_scenario((DATA / "lake_tower.json").read_text())
+        aged = dataclasses.replace(scenario, discount_rate=0.9)
+        assert emit_trace(run_scenario(aged)) == (
+            DATA / "lake_tower_aged_golden.csv"
+        ).read_text()
 
     def test_golden_fixture_trace(self):
         scenario = load_scenario((DATA / "lake_tower.json").read_text())
