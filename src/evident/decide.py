@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._jsonutil import number, of_type
 from .combine import CombinationReport
 from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
-from .masses import EvidentialInterval, MassFunction
+from .masses import EvidentialInterval, MassFunction, _intervals, _singleton_bounds
 from .frames import Proposition
 
 # singleton beliefs this close count as tied
@@ -84,23 +86,59 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
 
     Conflict at or above the threshold short-circuits to
     CONFLICTED(high_conflict). Otherwise the best-believed atom wins:
-    DECIDED if its interval strictly dominates every rival's, LEANING if
-    not, CONFLICTED(tie) when the top belief is shared (within ``TIE_TOL``).
+    DECIDED if its belief exceeds every rival's plausibility (interval
+    dominance), LEANING if not, CONFLICTED(tie) when a rival's belief comes
+    within ``TIE_TOL`` of the top one. The winner and the ranking's order
+    among equal beliefs follow frame order.
+
+    This is :func:`_decide_block` at one step, the rule and the sums the
+    replay applies to a block of steps at once.
     """
     conflict_threshold = number(
         conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
     )
-    m = of_type(report, CombinationReport, "decided report").result
-    intervals = zip(m.frame.atoms, m.singleton_intervals())
-    ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))
-    (best_atom, best), rivals = ranking[0], ranking[1:]
-    status, hypothesis, reason = DecisionStatus.CONFLICTED, None, None
-    if report.conflict >= conflict_threshold:
-        reason = HIGH_CONFLICT
-    elif any(iv.support >= best.support - TIE_TOL for _, iv in rivals):
-        reason = TIE
-    else:
-        dominant = all(best.support > iv.plausibility for _, iv in rivals)
-        status = DecisionStatus.DECIDED if dominant else DecisionStatus.LEANING
-        hypothesis = best_atom
+    of_type(report, CombinationReport, "decided report")
+    bel, (intervals,), ((status, reason, hypothesis),) = _decide_block(
+        [report], conflict_threshold
+    )
+    atoms = report.result.frame.atoms
+    ranking = tuple(
+        (atoms[i], intervals[i]) for i in np.argsort(-bel[0], kind="stable").tolist()
+    )
     return Decision(status, hypothesis, reason, ranking, report.conflict)
+
+
+def _decide_block(reports: list[CombinationReport], threshold: float):
+    """Every atom's interval and the decision rule at each of ``reports``.
+
+    The reports share one frame. Every atom's belief and plausibility at
+    every report comes from one :func:`masses._singleton_bounds` call, and
+    the rule is applied to all of them at once. Returns (bel, intervals,
+    verdicts): the (reports, atoms) belief array, each report's intervals in
+    frame order, and each report's (status, reason, hypothesis).
+    """
+    frame = reports[0].result.frame
+    fused = [r.result for r in reports]
+    step = np.repeat(np.arange(len(fused)), [len(m) for m in fused])
+    bits = np.concatenate([m._bits for m in fused])
+    masses = np.concatenate([m._masses for m in fused])
+    bel, pl = _singleton_bounds(frame, step, bits, masses, len(fused))
+    # argmax takes the first of equal beliefs, the atom a stable ranking puts first
+    best = bel.argmax(axis=1)
+    top = bel[np.arange(len(fused)), best]
+    rivals = np.arange(len(frame)) != best[:, None]
+    runner_up = bel.max(axis=1, where=rivals, initial=-np.inf)
+    widest_rival = pl.max(axis=1, where=rivals, initial=-np.inf)
+    high = np.array([r.conflict for r in reports]) >= threshold
+    tie = runner_up >= top - TIE_TOL
+    dominant = top > widest_rival
+    verdicts = []
+    for is_high, is_tie, is_dominant, winner in zip(
+        high.tolist(), tie.tolist(), dominant.tolist(), best.tolist()
+    ):
+        if is_high or is_tie:
+            verdicts.append((DecisionStatus.CONFLICTED, HIGH_CONFLICT if is_high else TIE, None))
+        else:
+            status = DecisionStatus.DECIDED if is_dominant else DecisionStatus.LEANING
+            verdicts.append((status, None, frame.atoms[winner]))
+    return bel, _intervals(bel, pl), verdicts

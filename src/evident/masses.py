@@ -29,6 +29,7 @@ from .errors import (
     MissingAtom,
     NegativeMass,
     NotNormalized,
+    WrongType,
 )
 from .frames import Frame, Proposition
 
@@ -73,7 +74,11 @@ class MassFunction:
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[Proposition, float]]):
         merged: dict[int, float] = {}
-        for prop, mass in of_type(entries, Iterable, "mass entries"):
+        for entry in of_type(entries, Iterable, "mass entries"):
+            try:
+                prop, mass = entry
+            except (TypeError, ValueError):
+                raise WrongType("mass entry must be a (proposition, mass) pair") from None
             if of_type(prop, Proposition, "focal proposition").frame != frame:
                 raise FrameMismatch("focal proposition belongs to a different frame")
             mass = number(mass, "mass", NegativeMass, 0.0)
@@ -119,12 +124,9 @@ class MassFunction:
     def mass(self, prop: Proposition) -> float:
         """Mass on exactly ``prop`` (zero when it is not a focal)."""
         self._check_frame(prop)
-        return float(self._masses_on(np.uint64(prop.bits)))
-
-    def _masses_on(self, bits: np.ndarray) -> np.ndarray:
-        """Mass on exactly each of ``bits``, by one search of the sorted focals."""
-        at = np.minimum(np.searchsorted(self._bits, bits), len(self) - 1)
-        return np.where(self._bits[at] == bits, self._masses[at], 0.0)
+        bits = np.uint64(prop.bits)
+        at = min(int(np.searchsorted(self._bits, bits)), len(self) - 1)
+        return float(self._masses[at]) if self._bits[at] == bits else 0.0
 
     # -- belief measures --------------------------------------------------------
 
@@ -152,18 +154,13 @@ class MassFunction:
     def singleton_intervals(self) -> list[EvidentialInterval]:
         """The interval of every atom in frame order.
 
-        A singleton's only non-empty subset is itself, so its belief is the
-        mass on exactly that atom. Each interval equals
-        ``interval(frame.singleton(atom))``, bit for bit.
+        One :func:`_singleton_bounds` step: a singleton's only non-empty
+        subset is itself, so its belief is the mass on exactly that atom.
+        Each interval equals ``interval(frame.singleton(atom))``, bit for bit.
         """
-        atoms = np.left_shift(np.uint64(1), np.arange(len(self.frame), dtype=np.uint64))
-        return [
-            EvidentialInterval(
-                min(1.0, bel),
-                min(1.0, _kernels.plausibility_sum(self._bits, self._masses, atom)),
-            )
-            for bel, atom in zip(self._masses_on(atoms).tolist(), atoms)
-        ]
+        step = np.zeros(len(self), dtype=np.intp)
+        bounds = _singleton_bounds(self.frame, step, self._bits, self._masses, 1)
+        return _intervals(*bounds)[0]
 
     # -- comparison --------------------------------------------------------------
 
@@ -193,6 +190,28 @@ class MassFunction:
     def _check_frame(self, prop: Proposition) -> None:
         if of_type(prop, Proposition, "proposition").frame != self.frame:
             raise FrameMismatch("proposition belongs to a different frame")
+
+
+def _singleton_bounds(
+    frame: Frame, step: np.ndarray, bits: np.ndarray, masses: np.ndarray, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every atom's belief and plausibility at each step, from flat focal rows.
+
+    Row i is focal ``bits[i]`` of step ``step[i]`` with mass ``masses[i]``, a
+    step's rows in its mass function's focal order. Returns (bel, pl) arrays
+    of shape (n_steps, atoms), clamped at 1 as :meth:`MassFunction.belief`
+    and :meth:`MassFunction.plausibility` clamp.
+    """
+    bel, pl = _kernels.atom_sums(step, bits, masses, n_steps, len(frame))
+    return np.minimum(bel, 1.0), np.minimum(pl, 1.0)
+
+
+def _intervals(bel: np.ndarray, pl: np.ndarray) -> list[list[EvidentialInterval]]:
+    """The validated interval of each cell of (steps, atoms) bounds, per step."""
+    return [
+        [EvidentialInterval(b, p) for b, p in zip(bs, ps)]
+        for bs, ps in zip(bel.tolist(), pl.tolist())
+    ]
 
 
 def mass_new(frame: Frame, entries: Iterable[tuple[Proposition, float]]) -> MassFunction:

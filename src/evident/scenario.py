@@ -21,6 +21,11 @@ How a window is fused depends on the scenario's discount rate alone:
   its window, all in one vectorised call, so a block takes as many rounds as
   its longest window rather than one combine per report per step.
 
+Either way the steps are decided a block at a time: every atom's interval
+at every step of the block comes from one kernel call, and the decision rule
+is applied to the whole block at once, as :func:`decide.decide` applies it to
+one step. A block holds a bounded number of steps and of focals.
+
 Runs are batch replays: fold order is pinned (time, then sensor id) and
 there is no hidden randomness, so a rerun is byte-identical.
 """
@@ -37,7 +42,7 @@ import numpy as np
 
 from ._jsonutil import number, of_type, parse_document, require
 from .combine import _CONTRADICTED, CombinationReport, _Aggregate, _sum, _sum_supports
-from .decide import DecisionStatus, decide
+from .decide import DecisionStatus, _decide_block
 from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
@@ -58,11 +63,19 @@ _GRID_EPS = 1e-9
 # a replay with a longer step grid is refused rather than walked
 MAX_GRID_STEPS = 1_000_000
 
-# steps the aged replay folds in lockstep. More take fewer rounds in all but
-# hold more rows at once: on 16 atoms and 40-report windows, a 64-step fold
-# peaks at about 0.5 MB traced and adds 0.7 MB to peak RSS, a 128-step one
-# adds 1.3 MB, near the benchmark's 5 % bound, for no measured gain
+# steps the replay decides at once, and the aged replay folds in lockstep.
+# More take fewer rounds in all but hold more rows at once: on 16 atoms and
+# 40-report windows, a 64-step fold peaks at about 0.5 MB traced and adds
+# 0.7 MB to peak RSS, a 128-step one adds 1.3 MB, near the benchmark's 5 %
+# bound, for no measured gain
 _BLOCK_STEPS = 64
+
+# focals the replay decides at once: a block closes early once its windows
+# hold this many, so large windows are decided a few at a time and one past
+# it alone. Deciding a block holds about 50 bytes a focal (tracemalloc), so
+# a block adds under 1 MB to one window's; the benchmark replays' 64-step
+# blocks hold at most about 6 000
+_BLOCK_FOCALS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -343,7 +356,9 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     The grid starts at the first report time and advances by ``step`` up to
     the last report time; a grid of more than ``MAX_GRID_STEPS`` rows raises
     :class:`InvalidWindow`. Total conflict at a step is recorded on the row
-    (vacuous intervals, conflict 1) and the run continues. A window whose fold
+    (vacuous intervals, conflict 1) and the run continues. Each row is what
+    :func:`decide` makes of its step's fused window, decided a block of
+    steps at a time (see :func:`_blocks`). A window whose fold
     needs a combine above ``combine.MAX_PAIRS`` refuses the whole run with
     :class:`CombinationTooLarge`.
     """
@@ -354,26 +369,47 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     steps = _grid_steps(scenario)
     windows = _fresh_windows if scenario.discount_rate == 1.0 else _aged_windows
     rows: list[TraceRow] = []
-    for t, fused in windows(scenario, steps):
+    for block in _blocks(windows(scenario, steps)):
         # an empty window is vacuous; a contradicted one has conflict 1, which
-        # decide reports as high conflict under any threshold
-        mass, retained = fused or (empty, 1.0)
-        report = CombinationReport(
-            result=empty if mass is None else mass, conflict=1.0 - retained
-        )
-        decision = decide(report, scenario.conflict_threshold)
-        ranked = dict(decision.ranking)
-        rows.append(
-            TraceRow(
-                time=t,
-                intervals=tuple((a, ranked[a]) for a in atoms),
-                cumulative_conflict=report.conflict,
-                status=decision.status,
-                reason=decision.reason,
-                hypothesis=decision.hypothesis,
+        # the rule reports as high conflict under any threshold
+        reports = [
+            CombinationReport(result=empty if mass is None else mass, conflict=1.0 - retained)
+            for mass, retained in (fused or (empty, 1.0) for _, fused in block)
+        ]
+        _, intervals, verdicts = _decide_block(reports, scenario.conflict_threshold)
+        for (t, _), report, step_intervals, (status, reason, hypothesis) in zip(
+            block, reports, intervals, verdicts
+        ):
+            rows.append(
+                TraceRow(
+                    time=t,
+                    intervals=tuple(zip(atoms, step_intervals)),
+                    cumulative_conflict=report.conflict,
+                    status=status,
+                    reason=reason,
+                    hypothesis=hypothesis,
+                )
             )
-        )
     return rows
+
+
+def _blocks(fused_steps):
+    """The (t, window aggregate) steps in blocks to decide at once.
+
+    A block closes after ``_BLOCK_STEPS`` steps, or earlier once its windows
+    hold ``_BLOCK_FOCALS`` focals, so it holds fewer than that many plus one
+    window's.
+    """
+    block: list = []
+    focals = 0
+    for t, fused in fused_steps:
+        block.append((t, fused))
+        focals += len(fused[0]) if fused and fused[0] is not None else 1
+        if len(block) == _BLOCK_STEPS or focals >= _BLOCK_FOCALS:
+            yield block
+            block, focals = [], 0
+    if block:
+        yield block
 
 
 def _status_label(row: TraceRow) -> str:
@@ -393,6 +429,9 @@ def emit_trace(rows: list[TraceRow], fmt: str = "csv") -> str:
     if not rows:
         raise EmptyTrace("no rows to format")
     atoms = [a for a, _ in rows[0].intervals]
+    for row in rows:
+        if [a for a, _ in row.intervals] != atoms:
+            raise FrameMismatch("trace rows are on different frames")
     header = (
         ["time"]
         + [f"{a}_{kind}" for a in atoms for kind in ("bel", "pl")]

@@ -2,8 +2,9 @@
 
 Everything here works on frozensets of atom names (or exact rationals),
 never on the package's bitmask/array representation, so each check is an
-independent route to the same value. The exception is
-:func:`grouped_products_oracle`, which pins a kernel's exact output arrays.
+independent route to the same value. The exceptions are
+:func:`grouped_products_oracle`, which pins a kernel's exact output arrays,
+and :func:`decide_oracle`, the decision rule as a loop over the atoms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from evident import And, Atom, Frame, Implies, MassFunction, Or
+from evident import (
+    And,
+    Atom,
+    CombinationReport,
+    DecisionStatus,
+    Frame,
+    Implies,
+    MassFunction,
+    Or,
+)
+from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
 
 
 def powerset(atoms):
@@ -97,6 +108,26 @@ def grouped_products_oracle(bits1, w1, bits2, w2):
     prod = (w1[:, None] * w2[None, :]).ravel()
     group_bits, inverse = np.unique(inter, return_inverse=True)
     return group_bits, np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
+
+
+def decide_oracle(report: CombinationReport, threshold: float = 0.95):
+    """(status, reason, hypothesis, ranking) of the decision rule, one atom at a time.
+
+    The intervals are each singleton's ``interval``; the ranking is Python's
+    stable sort by descending belief, and the rule is read off it with
+    ``any``/``all``.
+    """
+    m = report.result
+    intervals = [(a, m.interval(m.frame.singleton(a))) for a in m.frame.atoms]
+    ranking = tuple(sorted(intervals, key=lambda pair: -pair[1].support))
+    (best_atom, best), rivals = ranking[0], ranking[1:]
+    if report.conflict >= threshold:
+        return DecisionStatus.CONFLICTED, HIGH_CONFLICT, None, ranking
+    if any(iv.support >= best.support - TIE_TOL for _, iv in rivals):
+        return DecisionStatus.CONFLICTED, TIE, None, ranking
+    dominant = all(best.support > iv.plausibility for _, iv in rivals)
+    status = DecisionStatus.DECIDED if dominant else DecisionStatus.LEANING
+    return status, None, best_atom, ranking
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 6) -> MassFunction:

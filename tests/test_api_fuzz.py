@@ -137,6 +137,7 @@ OBJECT_CALLS = {
     "discount.m": lambda v: discount(v, 0.5),
     "simple_support.focus": lambda v: simple_support(FRAME, v, 0.5),
     "MassFunction.proposition": lambda v: MassFunction(FRAME, [(v, 1.0)]),
+    "MassFunction.entry": lambda v: MassFunction(FRAME, [v]),
     "CombinationReport.result": lambda v: CombinationReport(v, 0.0),
     "SensorReport.focus": lambda v: SensorReport("eo", 0.0, v, 0.5),
     "Scenario.frame": lambda v: Scenario(v, ()),
@@ -165,3 +166,9 @@ def test_objects_of_the_wrong_type_are_refused(call, value):
 def test_wrong_type_is_also_a_type_error():
     with pytest.raises(TypeError):
         combine(SUPPORT, "x")
+
+
+@pytest.mark.parametrize("entry", [(LAKE,), (LAKE, 0.5, 1), [], "ab"], ids=repr)
+def test_an_entry_that_is_not_a_pair_is_refused(entry):
+    with pytest.raises(WrongType):
+        MassFunction(FRAME, [(TOWER, 0.5), entry])

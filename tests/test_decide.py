@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evident import (
     CombinationReport,
     DecisionStatus,
+    Frame,
     bayesian_from_probabilities,
     combine,
     combine_all,
@@ -22,6 +23,7 @@ from evident.decide import HIGH_CONFLICT, TIE
 from evident.errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
 
 from .conftest import frames, mass_and_prop, mass_on, masses
+from .oracles import decide_oracle
 
 
 @pytest.fixture
@@ -222,3 +224,28 @@ class TestDecide:
         ranked = dict(decide(CombinationReport(result=m, conflict=0.0)).ranking)
         for atom in frame.atoms:
             assert ranked[atom] == m.interval(frame.singleton(atom))
+
+    @given(
+        masses(max_atoms=5),
+        st.sampled_from([0.0, 0.3, 0.95, 1.0]),
+        st.sampled_from([0.3, 0.95, 1.0]),
+    )
+    def test_matches_the_rule_as_a_loop_over_atoms(self, bundle, conflict, threshold):
+        _, m = bundle
+        report = CombinationReport(result=m, conflict=conflict)
+        decision = decide(report, threshold)
+        got = (decision.status, decision.reason, decision.hypothesis, decision.ranking)
+        assert got == decide_oracle(report, threshold)
+        assert decision.cumulative_conflict == conflict
+
+    def test_tie_within_tolerance_and_lone_atom(self, lt_frame):
+        # beliefs 1e-13 apart tie; a frame of one atom has no rival to tie or
+        # to dominate, so its atom is decided
+        lake, tower = lt_frame.singleton("lake"), lt_frame.singleton("tower")
+        m = mass_new(lt_frame, [(lake, 0.5 + 5e-14), (tower, 0.5 - 5e-14)])
+        decision = decide(CombinationReport(result=m, conflict=0.0))
+        assert (decision.status, decision.reason) == (DecisionStatus.CONFLICTED, TIE)
+        assert [a for a, _ in decision.ranking] == ["lake", "tower"]
+        lone = vacuous(Frame(["lake"]))
+        decision = decide(CombinationReport(result=lone, conflict=0.0))
+        assert (decision.status, decision.hypothesis) == (DecisionStatus.DECIDED, "lake")

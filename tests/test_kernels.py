@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -109,3 +111,44 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
         )
         assert np.array_equal(got_bits[mine], want_bits)
         assert np.array_equal(got_sums[mine], want_sums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_atoms=st.sampled_from([1, 2, 5, 16, 64]),
+    sizes=st.lists(st.integers(0, 30), min_size=1, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+    chunk_cells=st.sampled_from([1, 40, K._CHUNK_CELLS]),
+)
+@example(n_atoms=64, sizes=[0, 12, 0, 3], seed=0, chunk_cells=40)
+@example(n_atoms=3, sizes=[0, 0], seed=0, chunk_cells=K._CHUNK_CELLS)
+def test_atom_sums_cells_match_the_one_target_sums(n_atoms, sizes, seed, chunk_cells):
+    # each step's distinct focals, a third of them singletons, with the rows
+    # of all steps shuffled together; a step of size 0 has no rows
+    rng = np.random.default_rng(seed)
+    high = 1 << n_atoms
+    focals = [
+        np.unique(
+            np.concatenate([
+                rng.integers(1, high, size - size // 3, dtype=np.uint64, endpoint=False),
+                np.uint64(1) << rng.integers(0, n_atoms, size // 3, dtype=np.uint64),
+            ])
+        )
+        for size in sizes
+    ]
+    step = np.repeat(np.arange(len(sizes)), [f.shape[0] for f in focals])
+    bits = np.concatenate(focals)
+    masses = rng.random(bits.shape[0])
+    order = rng.permutation(bits.shape[0])
+    step, bits, masses = step[order], bits[order], masses[order]
+    with mock.patch.object(K, "_CHUNK_CELLS", chunk_cells):
+        bel, pl = K.atom_sums(step, bits, masses, len(sizes), n_atoms)
+    assert bel.shape == pl.shape == (len(sizes), n_atoms)
+    for k in range(len(sizes)):
+        mine = step == k
+        for a in range(n_atoms):
+            atom = np.uint64(1 << a)
+            exact = masses[mine][bits[mine] == atom]
+            assert bel[k, a] == (float(exact[0]) if exact.shape[0] else 0.0)
+            assert bel[k, a] == K.belief_sum(bits[mine], masses[mine], atom)
+            assert pl[k, a] == K.plausibility_sum(bits[mine], masses[mine], atom)

@@ -11,13 +11,15 @@ from bisect import bisect_right
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evident import (
+    CombinationReport,
     DecisionStatus,
     EvidentialInterval,
     Frame,
+    MassFunction,
     Scenario,
     SensorReport,
     combine_all,
@@ -36,6 +38,7 @@ from evident.errors import (
     EmptyFocus,
     EmptyTrace,
     EvidentError,
+    FrameMismatch,
     InvalidReport,
     InvalidWindow,
     ParseError,
@@ -45,6 +48,7 @@ from evident.errors import (
 )
 
 from .conftest import ATOM_POOL
+from .oracles import decide_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -576,6 +580,35 @@ class TestReplayProperties:
         run_scenario(short)
         assert peak_above_rows(long) <= 1.25 * peak_above_rows(short)
 
+    def test_fresh_memory_holds_a_block_of_focals_not_of_steps(self, monkeypatch):
+        # foci that each miss a different one of 64 atoms, 12 to a window:
+        # every full window sums to 2**12 focals, so 64 steps of them would
+        # hold 2**18 at once
+        frame = Frame(WIDE_ATOMS)
+        full = (1 << 64) - 1
+        reports = tuple(
+            SensorReport(f"s{i:02d}", float(i), frame.from_bits(full ^ (1 << (i % 64))), 0.3)
+            for i in range(80)
+        )
+        scenario = Scenario(frame, reports, window=12.0, step=1.0)
+
+        def peak_above_rows():
+            tracemalloc.start()
+            try:
+                rows = run_scenario(scenario)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == 80
+            return peak - current
+
+        blocked = peak_above_rows()
+        monkeypatch.setattr(scenario_module, "_BLOCK_STEPS", 1)
+        one_at_a_time = peak_above_rows()
+        # what a block adds over deciding each window alone is bounded by its
+        # focal budget, at 64 bytes a focal, however many steps it spans
+        assert blocked <= one_at_a_time + 64 * scenario_module._BLOCK_FOCALS
+
     @given(st.data())
     def test_valid_input_never_raises(self, data):
         frame = Frame(ATOM_POOL[: data.draw(st.integers(1, 5))])
@@ -626,6 +659,176 @@ class TestReplayProperties:
         assert len(run_scenario(scenario_from(["lake"], single, step=5e-14))) == 20001
 
 
+def rows_against_decide(scenario: Scenario) -> None:
+    """Assert each replay row equals ``decide`` on its step's fused window.
+
+    The window aggregates come from the replay's own window generators, one
+    step at a time; ``decide`` weighs each alone, and the rule as a loop over
+    the atoms (``decide_oracle``) checks ``decide``.
+    """
+    rows = run_scenario(scenario)
+    frame = scenario.frame
+    windows = (
+        scenario_module._fresh_windows
+        if scenario.discount_rate == 1.0
+        else scenario_module._aged_windows
+    )
+    empty = vacuous(frame)
+    threshold = scenario.conflict_threshold
+    steps = list(windows(scenario, len(rows)))
+    assert len(steps) == len(rows)
+    for row, (t, fused) in zip(rows, steps):
+        mass, retained = fused or (empty, 1.0)
+        report = CombinationReport(empty if mass is None else mass, 1.0 - retained)
+        decision = decide(report, threshold)
+        ranked = dict(decision.ranking)
+        assert row.time == t
+        assert row.intervals == tuple((a, ranked[a]) for a in frame.atoms)
+        assert (row.cumulative_conflict, row.status, row.reason, row.hypothesis) == (
+            decision.cumulative_conflict,
+            decision.status,
+            decision.reason,
+            decision.hypothesis,
+        )
+        assert decide_oracle(report, threshold) == (
+            decision.status,
+            decision.reason,
+            decision.hypothesis,
+            decision.ranking,
+        )
+
+
+WIDE_ATOMS = tuple(f"a{i:02d}" for i in range(64))
+
+
+@st.composite
+def decided_replays(draw):
+    """Replays whose rows reach every branch of the decision rule.
+
+    Frames of 1 to 4 atoms, or of 64 with foci that favour bit 63. Certain
+    reports on disjoint atoms contradict a window, gaps longer than the
+    window leave it empty (a tie on two atoms or more), a threshold of 0.05
+    makes most conflict high, and times up to 90 s on a 0.5-s or 1-s grid
+    run past ``_BLOCK_STEPS`` steps. A 64-atom stream holds at most 8
+    reports, so a window never holds more than 2**8 focals.
+    """
+    n_atoms = draw(st.sampled_from([1, 2, 3, 4, 64]))
+    frame = Frame(WIDE_ATOMS if n_atoms == 64 else ATOM_POOL[:n_atoms])
+    full = (1 << n_atoms) - 1
+    top = 1 << (n_atoms - 1)
+    focus = st.sampled_from([top, top | 1, full]) | st.integers(1, full)
+    stream = [
+        (
+            draw(st.sampled_from(("eo", "ir", "radar"))),
+            draw(st.integers(0, 180)) / 2,
+            frame.from_bits(draw(focus)),
+            draw(st.integers(0, 20)) / 20,
+        )
+        for _ in range(draw(st.integers(1, 8 if n_atoms == 64 else 25)))
+    ]
+    if n_atoms > 1 and draw(st.booleans()):
+        t = draw(st.integers(0, 180)) / 2
+        stream.append(("eo", t, frame.singleton(frame.atoms[0]), 1.0))
+        stream.append(("ir", t, frame.singleton(frame.atoms[-1]), 1.0))
+    stream.sort(key=lambda r: r[1])
+    return Scenario(
+        frame=frame,
+        reports=tuple(SensorReport(*r) for r in stream),
+        window=draw(st.sampled_from((0.5, 2.0, 5.0, 20.0))),
+        step=draw(st.sampled_from((0.5, 1.0))),
+        discount_rate=draw(st.sampled_from((1.0, 0.9, 0.0))),
+        conflict_threshold=draw(st.sampled_from((0.05, 0.5, 0.95, 1.0))),
+    )
+
+
+def _every_branch(rate: float) -> Scenario:
+    # alternating weak reports to t=39; a certain clash at t=20; an exact tie
+    # alone in the window from t=60; empty windows between; one strong report
+    # that decides at t=90, on a grid of 181 steps
+    atoms = ["lake", "tower", "ridge"]
+    reports = [("eo", float(k), [atoms[k % 3]], 0.3 + 0.05 * (k % 4)) for k in range(40)]
+    reports += [("c1", 20.0, ["lake"], 1.0), ("c2", 20.0, ["tower"], 1.0)]
+    reports += [("s1", 60.0, ["lake"], 0.5), ("s2", 60.0, ["tower"], 0.5)]
+    reports += [("eo", 90.0, ["ridge"], 0.8)]
+    reports.sort(key=lambda r: r[1])
+    return scenario_from(
+        atoms, reports, window=3.0, step=0.5, discount_rate=rate, conflict_threshold=0.5
+    )
+
+
+DECIDE_CASES = {
+    "every-branch-fresh": lambda: _every_branch(1.0),
+    "every-branch-aged": lambda: _every_branch(0.9),
+    "64-atoms-bit-63-aged": AGED_CASES["64-atoms-foci-on-bit-63"],
+    "64-atoms-bit-63-fresh": lambda: dataclasses.replace(
+        AGED_CASES["64-atoms-foci-on-bit-63"](), discount_rate=1.0
+    ),
+}
+
+
+class TestReplayDecides:
+    """Deciding a block of steps at once equals deciding each step alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decided_replays())
+    def test_each_row_is_decide_on_its_window(self, scenario):
+        rows_against_decide(scenario)
+
+    @pytest.mark.parametrize("make", DECIDE_CASES.values(), ids=DECIDE_CASES.keys())
+    def test_named_replays_are_decide_on_their_windows(self, make):
+        rows_against_decide(make())
+
+    @pytest.mark.parametrize("rate", [1.0, 0.9])
+    def test_blocks_closed_by_their_focal_count_decide_alike(self, monkeypatch, rate):
+        monkeypatch.setattr(scenario_module, "_BLOCK_FOCALS", 20)
+        sizes = []
+        blocks = scenario_module._blocks
+
+        def spy(fused_steps):
+            for block in blocks(fused_steps):
+                sizes.append(len(block))
+                yield block
+
+        monkeypatch.setattr(scenario_module, "_blocks", spy)
+        rows_against_decide(_every_branch(rate))
+        assert len(sizes) > 8 and max(sizes) < scenario_module._BLOCK_STEPS
+
+    def test_a_block_closes_at_its_step_or_focal_budget(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_BLOCK_STEPS", 4)
+        monkeypatch.setattr(scenario_module, "_BLOCK_FOCALS", 5)
+        frame = Frame(["lake", "tower", "ridge", "clear"])
+        two = (simple_support(frame, frame.singleton("lake"), 0.5), 1.0)
+        eleven = (MassFunction(frame, [(frame.from_bits(b), 1 / 11) for b in range(1, 12)]), 1.0)
+        # an empty or a contradicted window counts as the one focal it is
+        # decided on
+        empty, contradicted = None, (None, 0.0)
+        windows = [eleven, two, two, empty, empty, contradicted, empty, empty, two, contradicted]
+        steps = [(float(t), fused) for t, fused in enumerate(windows)]
+        blocks = list(scenario_module._blocks(iter(steps)))
+        assert [len(b) for b in blocks] == [1, 3, 4, 2]
+        assert [step for block in blocks for step in block] == steps
+
+    def test_named_replays_cover_what_they_name(self):
+        for rate in (1.0, 0.9):
+            rows = run_scenario(_every_branch(rate))
+            assert len(rows) > 2 * scenario_module._BLOCK_STEPS
+            outcomes = {(row.status, row.reason) for row in rows}
+            assert outcomes == {
+                (DecisionStatus.CONFLICTED, HIGH_CONFLICT),
+                (DecisionStatus.CONFLICTED, TIE),
+                (DecisionStatus.LEANING, None),
+                (DecisionStatus.DECIDED, None),
+            }
+            assert any(row.cumulative_conflict == 1.0 for row in rows)
+            vacuous_row = tuple(EvidentialInterval(0.0, 1.0) for _ in range(3))
+            assert any(tuple(iv for _, iv in row.intervals) == vacuous_row for row in rows)
+            tied = [row for row in rows if row.time == 60.0][0]
+            assert tied.reason == TIE and tied.cumulative_conflict < 0.5
+        wide = DECIDE_CASES["64-atoms-bit-63-fresh"]()
+        assert len(run_scenario(wide)) > scenario_module._BLOCK_STEPS
+        assert any(r.focus.bits >> 63 for r in wide.reports)
+
+
 class TestEmitTrace:
     def one_row(self):
         scenario = scenario_from(
@@ -653,6 +856,16 @@ class TestEmitTrace:
     def test_empty_trace(self):
         with pytest.raises(EmptyTrace):
             emit_trace([])
+
+    def test_rows_on_different_frames_are_refused(self):
+        # a 12-column header over a 6-cell row, before rows were checked
+        lake_tower = run_scenario(load_scenario((DATA / "lake_tower.json").read_text()))
+        one_atom = run_scenario(scenario_from(["lake"], [("eo", 0.0, ["lake"], 0.8)]))
+        rows = lake_tower[:1] + one_atom
+        with pytest.raises(FrameMismatch):
+            emit_trace(rows)
+        with pytest.raises(FrameMismatch):
+            emit_trace(rows[::-1], "table")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
