@@ -6,9 +6,19 @@ empty set is the conflict; the remainder is scaled back up by the
 proportionality constant 1/(1 - conflict). Total conflict (all products
 empty) is an error, never a silent NaN.
 
+The sum is exact up to float rounding, so that a fold's result does not
+depend on how it is grouped, and one rule holds for it on every path:
+
+- a product is dropped only when it is exactly 0.0, as when it underflows;
+- the sum is total conflict when no positive product lands on a non-empty
+  set, however close to 1 the conflict is otherwise;
+- the reported conflict is clamped at 1, as belief and plausibility are,
+  because inputs are accepted when their totals are 1 within
+  ``NORMALIZATION_TOL``.
+
 The aged replay makes the same sum for many accumulators at once, each with
-one simple support (:func:`_sum_supports`); both paths read the pair cap,
-the pruning floor and the total-conflict tolerance from this module.
+one simple support (:func:`_sum_supports`); both paths read the pair cap
+from this module.
 """
 
 from __future__ import annotations
@@ -26,13 +36,6 @@ from .errors import (
     TotalConflict,
 )
 from .masses import MassFunction
-
-# combination results drop float dust below this, keeping focal sets tight
-# across long fusion chains
-PRUNE_EPS = 1e-15
-
-# conflict this close to 1 counts as total
-TOTAL_CONFLICT_TOL = 1e-12
 
 # combines of more focal pairs are refused: replays stopped by this cap peaked
 # at 160 MB (32 atoms) and 151 MB (64 atoms); the benchmark's largest is 350 k
@@ -71,7 +74,8 @@ def _check_pairs(n1: int, n2: int) -> None:
 
 def _grouped(m1: MassFunction, m2: MassFunction):
     """(conflict, group bits, group sums): the pair's products pooled by
-    intersection, with the empty intersection's share split off as conflict."""
+    intersection, with the empty intersection's share split off as conflict,
+    clamped at 1."""
     of_type(m1, MassFunction, "combined evidence")
     of_type(m2, MassFunction, "combined evidence")
     if m1.frame != m2.frame:
@@ -82,7 +86,7 @@ def _grouped(m1: MassFunction, m2: MassFunction):
         a._bits, a._masses, b._bits, b._masses, len(m1.frame)
     )
     if group_bits.shape[0] and int(group_bits[0]) == 0:
-        return float(group_sums[0]), group_bits[1:], group_sums[1:]
+        return min(float(group_sums[0]), 1.0), group_bits[1:], group_sums[1:]
     return 0.0, group_bits, group_sums
 
 
@@ -95,23 +99,25 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     """Orthogonal sum of two mass functions on the same frame.
 
     Commutative, with the vacuous distribution as identity. Raises
-    :class:`TotalConflict` when the evidence is flatly contradictory and
-    :class:`CombinationTooLarge` above ``MAX_PAIRS`` focal pairs.
+    :class:`TotalConflict` when no positive product lands on a non-empty
+    set, and :class:`CombinationTooLarge` above ``MAX_PAIRS`` focal pairs.
 
-    The surviving products are scaled by their own exact total rather than by
-    1 - conflict, so a result always totals 1 to rounding and error does not
-    compound along a fold. ``conflict`` is the product mass on the empty set
-    as computed from the inputs; when their totals are off 1 by rounding
-    (they are accepted within ``NORMALIZATION_TOL``) it is not rescaled, and
-    so is off the conflict of exactly normalised inputs by the same order.
+    Every positive product is kept: only products that are exactly 0.0 are
+    dropped. The survivors are scaled by their own exact total rather than
+    by 1 - conflict, so a result always totals 1 to rounding, however near 1
+    the conflict, and error does not compound along a fold. ``conflict`` is
+    the product mass on the empty set as computed from the inputs, clamped
+    at 1; when their totals are off 1 by rounding (they are accepted within
+    ``NORMALIZATION_TOL``) it is not rescaled, and so is off the conflict of
+    exactly normalised inputs by the same order.
     """
     conflict, group_bits, group_sums = _grouped(m1, m2)
-    if conflict >= 1.0 - TOTAL_CONFLICT_TOL or not group_bits.shape[0]:
+    keep = group_sums > 0.0
+    sums = group_sums[keep]
+    if not sums.shape[0]:
         raise TotalConflict()
-    scaled = group_sums / math.fsum(group_sums.tolist())
-    keep = scaled >= PRUNE_EPS
     result = MassFunction._from_arrays(
-        m1.frame, group_bits[keep], scaled[keep]
+        m1.frame, group_bits[keep], sums / math.fsum(sums.tolist())
     )
     return CombinationReport(result=result, conflict=conflict)
 
@@ -139,11 +145,12 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
 
     The accumulators are flat rows, ascending by step and then by mask, as
     :func:`_kernels.support_products` takes and returns them; accumulator k
-    is summed with the support of ``degree[k]`` on ``focus[k]``. Each sum is
-    the one ``combine`` makes: its conflict is the empty intersection's
-    share, and the rest is scaled by its own total and pruned below
-    ``PRUNE_EPS``. A totally conflicting sum keeps no rows, so no later
-    support can revive it: total conflict is absorbing.
+    is summed with the support of ``degree[k]`` on ``focus[k]``. Each sum
+    follows ``combine``'s rule: its conflict is the empty intersection's
+    share, clamped at 1, and its positive products on non-empty sets are
+    scaled by their own total; products that are exactly 0.0 are dropped. A
+    sum none of whose products survives is total conflict and keeps no rows,
+    so no later support can revive it: total conflict is absorbing.
 
     Returns (step, bits, masses, conflict per accumulator). One sum above
     ``MAX_PAIRS`` focal pairs raises :class:`CombinationTooLarge`; when the
@@ -165,12 +172,11 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     )
     empty = bits == 0
     conflict = np.zeros(degree.shape[0])
-    conflict[step[empty]] = sums[empty]
-    live = ~empty & (conflict < 1.0 - TOTAL_CONFLICT_TOL)[step]
+    conflict[step[empty]] = np.minimum(sums[empty], 1.0)
+    live = ~empty & (sums > 0.0)
     step, bits, sums = step[live], bits[live], sums[live]
     scaled = sums / np.bincount(step, weights=sums, minlength=degree.shape[0])[step]
-    keep = scaled >= PRUNE_EPS
-    return step[keep], bits[keep], scaled[keep], conflict
+    return step, bits, scaled, conflict
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationReport:

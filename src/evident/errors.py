@@ -3,8 +3,9 @@
 Every validation failure raises a subclass of :class:`EvidentError`, so
 callers (and the CLI) can distinguish bad input from genuine bugs or I/O
 failures. The range and order errors (``NegativeMass``, ``DegreeOutOfRange``,
-``InvalidInterval``, ``FactorOutOfRange``) and ``UnknownTraceFormat`` also
-derive from ``ValueError``, so ``except ValueError`` catches them.
+``InvalidInterval``, ``FactorOutOfRange``, ``InvalidTraceRow``) and
+``UnknownTraceFormat`` also derive from ``ValueError``, so ``except
+ValueError`` catches them.
 
 Every number the package accepts, from a document or a caller, is a finite
 int or float, not a bool, inside its field's range; anything else (a string,
@@ -95,7 +96,8 @@ class InvalidInterval(EvidentError, ValueError):
 # combination ----------------------------------------------------------------
 
 class TotalConflict(EvidentError):
-    """The evidence is flatly contradictory (conflict mass 1).
+    """The evidence is flatly contradictory: no positive product of the
+    orthogonal sum lands on a non-empty set.
 
     ``index`` is the position of the input that triggered the condition when
     folding a list, or None for a single pairwise combination.
@@ -178,6 +180,10 @@ class UnsortedReports(EvidentError):
 
 class InvalidWindow(EvidentError):
     """Window and step lengths must be positive."""
+
+
+class InvalidTraceRow(EvidentError, ValueError):
+    """A trace row's time is not a finite number."""
 
 
 class EmptyTrace(EvidentError):

@@ -50,9 +50,11 @@ from .errors import (
     FactorOutOfRange,
     FrameMismatch,
     InvalidReport,
+    InvalidTraceRow,
     InvalidWindow,
     UnknownTraceFormat,
     UnsortedReports,
+    WrongType,
 )
 from .frames import Frame, Proposition
 from .masses import EvidentialInterval, MassFunction, simple_support, vacuous
@@ -355,8 +357,13 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
 
     The grid starts at the first report time and advances by ``step`` up to
     the last report time; a grid of more than ``MAX_GRID_STEPS`` rows raises
-    :class:`InvalidWindow`. Total conflict at a step is recorded on the row
-    (vacuous intervals, conflict 1) and the run continues. Each row is what
+    :class:`InvalidWindow`. A window's fold follows the one rule of
+    :mod:`combine`: products that are exactly 0.0 are dropped, a window is
+    totally conflicting only when no positive product survives, and the
+    conflict is clamped at 1. So a window fuses however near 1 its conflict,
+    and its row does not depend on how the window's fold is grouped. Total
+    conflict at a step is recorded on the row (vacuous intervals, conflict
+    1) and the run continues. Each row is what
     :func:`decide` makes of its step's fused window, decided a block of
     steps at a time (see :func:`_blocks`). A window whose fold
     needs a combine above ``combine.MAX_PAIRS`` refuses the whole run with
@@ -412,6 +419,28 @@ def _blocks(fused_steps):
         yield block
 
 
+def _row_atoms(row) -> tuple:
+    """The atoms of a trace row, once its fields are checked.
+
+    Only types and ranges are checked: an interval was checked when it was
+    built.
+    """
+    of_type(row, TraceRow, "trace row")
+    number(row.time, "row time", InvalidTraceRow)
+    number(row.cumulative_conflict, "row conflict", DegreeOutOfRange, 0.0, 1.0)
+    of_type(row.status, DecisionStatus, "row status")
+    if {type(row.reason), type(row.hypothesis)} - {str, type(None)}:
+        raise WrongType("row reason and hypothesis must be text or None")
+    pairs = of_type(row.intervals, tuple, "row intervals")
+    try:
+        atoms, intervals = zip(*pairs)
+    except (TypeError, ValueError):  # not pairs, or none
+        atoms, intervals = (), ()
+    if not atoms or set(map(type, intervals)) != {EvidentialInterval}:
+        raise WrongType("row intervals must be one or more (atom, interval) pairs")
+    return atoms
+
+
 def _status_label(row: TraceRow) -> str:
     if row.status is DecisionStatus.CONFLICTED:
         return f"conflicted({row.reason})"
@@ -423,14 +452,19 @@ def emit_trace(rows: list[TraceRow], fmt: str = "csv") -> str:
 
     Reals carry six fractional digits (round-half-even). CSV columns: time,
     then <atom>_bel,<atom>_pl per atom in frame order, then conflict,
-    status, hypothesis.
+    status, hypothesis. A row that is not a :class:`TraceRow` of a finite
+    time, a conflict in [0, 1], a status, (atom name, interval) pairs on
+    the first row's atoms and text or None for its reason and hypothesis is
+    refused with an :class:`EvidentError`.
     """
-    rows = [of_type(row, TraceRow, "trace row") for row in of_type(rows, Iterable, "rows")]
+    rows = list(of_type(rows, Iterable, "rows"))
     if not rows:
         raise EmptyTrace("no rows to format")
-    atoms = [a for a, _ in rows[0].intervals]
-    for row in rows:
-        if [a for a, _ in row.intervals] != atoms:
+    atoms = _row_atoms(rows[0])
+    for atom in atoms:
+        of_type(atom, str, "row atom")
+    for row in rows[1:]:
+        if _row_atoms(row) != atoms:
             raise FrameMismatch("trace rows are on different frames")
     header = (
         ["time"]

@@ -60,8 +60,8 @@ def combine_oracle(
 ) -> tuple[dict[frozenset, float], float]:
     """Pairwise-product orthogonal sum over frozensets.
 
-    Returns (normalized focal map, conflict). Raises ZeroDivisionError on
-    total conflict, which callers are expected to rule out.
+    Returns (normalized focal map, conflict). On total conflict, where no
+    product lands on a non-empty set, the map is empty.
     """
     raw: dict[frozenset, float] = {}
     conflict = 0.0
@@ -75,6 +75,25 @@ def combine_oracle(
     return {h: v / (1.0 - conflict) for h, v in raw.items()}, conflict
 
 
+def fold_products(maps: list[dict[frozenset, float]]) -> dict[frozenset, float]:
+    """The unnormalized conjunctive products of many focal maps.
+
+    Each non-empty set gets the products of the focal chains that meet on
+    it; their total is the mass the fold retains. With ``Fraction`` masses
+    the products are exact.
+    """
+    acc = dict(maps[0])
+    for m in maps[1:]:
+        nxt: dict[frozenset, float] = {}
+        for h1, v1 in acc.items():
+            for h2, v2 in m.items():
+                inter = h1 & h2
+                if inter:
+                    nxt[inter] = nxt.get(inter, 0) + v1 * v2
+        acc = nxt
+    return acc
+
+
 def fold_oracle(
     maps: list[dict[frozenset, float]],
 ) -> tuple[dict[frozenset, float], float]:
@@ -85,15 +104,7 @@ def fold_oracle(
     rescaling can compound. Returns (normalized focal map, cumulative
     conflict); the caller rules out total conflict.
     """
-    acc = dict(maps[0])
-    for m in maps[1:]:
-        nxt: dict[frozenset, float] = {}
-        for h1, v1 in acc.items():
-            for h2, v2 in m.items():
-                inter = h1 & h2
-                if inter:
-                    nxt[inter] = nxt.get(inter, 0.0) + v1 * v2
-        acc = nxt
+    acc = fold_products(maps)
     kept = math.fsum(acc.values())
     return {h: v / kept for h, v in acc.items()}, 1.0 - kept
 

@@ -8,8 +8,9 @@ Every slot that takes one of the package's objects (a mass function, a
 proposition, a report, a scenario, a source) gets strings, numbers, ``None``,
 lists, mappings and a query, and must refuse them with :class:`WrongType`.
 Of the result records, ``CombinationReport`` is fuzzed, because ``decide``
-takes one; ``Decision``, ``SupportTriple``, ``TraceRow`` and ``RoutePlan``
-are only returned by the package, and are left out.
+takes one, and ``TraceRow``, because ``emit_trace`` takes them;
+``Decision``, ``SupportTriple`` and ``RoutePlan`` are only returned by the
+package, and are left out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from evident import (
     Atom,
     CombinationReport,
+    DecisionStatus,
     EvidentialInterval,
     Frame,
     MassFunction,
@@ -30,6 +32,7 @@ from evident import (
     Scenario,
     SensorReport,
     SourceDescriptor,
+    TraceRow,
     answerability,
     bayesian_from_probabilities,
     combine,
@@ -64,6 +67,19 @@ def _replay(*reports, **params) -> str:
     return emit_trace(run_scenario(Scenario(FRAME, reports, **params)))
 
 
+def _row(**fields) -> str:
+    # one decided row on FRAME, with ``fields`` in place of its own
+    row = dict(
+        time=1.0,
+        intervals=(("lake", EvidentialInterval(0.6, 1.0)), ("tower", EvidentialInterval(0.0, 0.4))),
+        cumulative_conflict=0.0,
+        status=DecisionStatus.DECIDED,
+        reason=None,
+        hypothesis="lake",
+    )
+    return emit_trace([TraceRow(**{**row, **fields})])
+
+
 def _route(source: SourceDescriptor):
     # a second source with the same support makes the sort compare priorities
     sources = [source, SourceDescriptor("t", {"a": 0.5})]
@@ -93,6 +109,8 @@ CALLS = {
     "Scenario.step": lambda v: _replay(step=v),
     "Scenario.discount_rate": lambda v: _replay(discount_rate=v),
     "Scenario.conflict_threshold": lambda v: _replay(conflict_threshold=v),
+    "TraceRow.time": lambda v: _row(time=v),
+    "TraceRow.cumulative_conflict": lambda v: _row(cumulative_conflict=v),
 }
 
 NOT_NUMBERS = ["x", "0.5", None, [[0.5]], True, False, math.nan, math.inf, -math.inf]
@@ -151,6 +169,10 @@ OBJECT_CALLS = {
     "support_pro_con.proposition": lambda v: support_pro_con(SUPPORT, v),
     "MassFunction.interval": lambda v: SUPPORT.interval(v),
     "emit_trace.row": lambda v: emit_trace([v]),
+    "TraceRow.intervals": lambda v: _row(intervals=v),
+    "TraceRow.intervals.pair": lambda v: _row(intervals=(v,)),
+    "TraceRow.intervals.interval": lambda v: _row(intervals=(("lake", v),)),
+    "TraceRow.status": lambda v: _row(status=v),
 }
 
 NOT_OBJECTS = ["x", "a", None, 0.5, 7, True, [["lake"]], {"lake": 1.0}, QUERY]
@@ -172,3 +194,27 @@ def test_wrong_type_is_also_a_type_error():
 def test_an_entry_that_is_not_a_pair_is_refused(entry):
     with pytest.raises(WrongType):
         MassFunction(FRAME, [(TOWER, 0.5), entry])
+
+
+def test_a_well_formed_row_is_emitted():
+    assert _row() == (
+        "time,lake_bel,lake_pl,tower_bel,tower_pl,conflict,status,hypothesis\n"
+        "1.000000,0.600000,1.000000,0.000000,0.400000,0.000000,decided,lake\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"time": "x", "intervals": ()},
+        {"intervals": ()},
+        {"intervals": (("lake", EvidentialInterval(0.6, 1.0), "tower"),)},
+        {"reason": 5},
+        {"hypothesis": ["lake"]},
+        {"cumulative_conflict": 1.5},
+    ],
+    ids=repr,
+)
+def test_malformed_rows_are_refused(fields):
+    with pytest.raises(EvidentError):
+        _row(**fields)

@@ -11,6 +11,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,8 +106,8 @@ class TestCombine:
         m2 = simple_support(lt_frame, lt_frame.proposition(["tower"]), 1.0)
         with pytest.raises(TotalConflict):
             combine(m1, m2)
-        # totals accepted within NORMALIZATION_TOL put the conflict below
-        # 1 - TOTAL_CONFLICT_TOL, yet nothing survives
+        # totals accepted within NORMALIZATION_TOL put the conflict below 1,
+        # yet nothing survives
         short = 1.0 - 5e-10
         m1 = mass_new(lt_frame, [(lt_frame.proposition(["lake"]), short)])
         m2 = mass_new(lt_frame, [(lt_frame.proposition(["tower"]), short)])
@@ -123,7 +124,7 @@ class TestCombine:
         m1 = data.draw(mass_on(frame))
         m2 = data.draw(mass_on(frame))
         expected, expected_conflict = combine_oracle(focal_map(m1), focal_map(m2))
-        if expected_conflict >= 1.0 - 1e-12:
+        if not expected:  # no product lands on a non-empty set
             with pytest.raises(TotalConflict):
                 combine(m1, m2)
             return
@@ -337,14 +338,72 @@ class TestDiscount:
         )
 
 
-def test_prune_drops_float_dust(lt_frame):
-    lake = lt_frame.proposition(["lake"])
-    nearly_one = 1.0 - 1e-16  # the complement's mass falls below the prune cutoff
-    report = combine(
-        simple_support(lt_frame, lake, nearly_one),
-        simple_support(lt_frame, lake, nearly_one),
-    )
-    assert {p.bits for p, _ in report.result.focals()} == {lake.bits}
+class TestExactSum:
+    """Only products that are exactly 0.0 are dropped, and total conflict
+    means that nothing survives, so a fold does not depend on its grouping."""
+
+    def test_only_products_that_underflow_are_dropped(self, lt_frame, ltr_frame):
+        lake = lt_frame.proposition(["lake"])
+        nearly_one = 1.0 - 1e-16
+        report = combine(
+            simple_support(lt_frame, lake, nearly_one),
+            simple_support(lt_frame, lake, nearly_one),
+        )
+        # the whole frame keeps the product of the two complements, 1.2e-32
+        assert report.result.mass(lt_frame.full()) == (1.0 - nearly_one) ** 2
+        # {lake, tower} x {tower, ridge} meet on {tower} with 1e-400, which
+        # underflows to 0.0, so {tower} is no focal of the sum
+        frame = ltr_frame
+        m1 = mass_new(frame, [(frame.proposition(["lake", "tower"]), 1e-200), (frame.full(), 1.0)])
+        m2 = mass_new(frame, [(frame.proposition(["tower", "ridge"]), 1e-200), (frame.full(), 1.0)])
+        assert set(focal_map(combine(m1, m2).result)) == {
+            frozenset({"lake", "tower"}), frozenset({"tower", "ridge"}), frozenset(frame.atoms)
+        }
+
+    def test_sum_whose_surviving_products_all_underflow_is_total_conflict(self, ltr_frame):
+        frame = ltr_frame
+        tower = frame.proposition(["tower"])
+        # the only non-empty intersection is {tower}, with 1e-200 squared
+        m1 = mass_new(frame, [(frame.proposition(["lake"]), 1.0), (tower, 1e-200)])
+        m2 = mass_new(frame, [(frame.proposition(["ridge"]), 1.0), (tower, 1e-200)])
+        with pytest.raises(TotalConflict):
+            combine(m1, m2)
+        with pytest.raises(TotalConflict):
+            combine_all([m1, m2])
+
+    def test_conflict_just_short_of_total_fuses(self, lt_frame):
+        lake, tower = lt_frame.proposition(["lake"]), lt_frame.proposition(["tower"])
+        report = combine(
+            simple_support(lt_frame, lake, 1.0), simple_support(lt_frame, tower, 1.0 - 1e-13)
+        )
+        assert focal_map(report.result) == {frozenset({"lake"}): 1.0}
+        assert report.conflict == 1.0 - 1e-13
+
+    def test_conflict_of_accepted_totals_is_clamped_at_one(self, lt_frame):
+        # both totals are 1 within NORMALIZATION_TOL, and the raw conflict
+        # is (1 - 1e-12 + 5e-10) * (1 + 5e-10), above 1
+        m1 = mass_new(
+            lt_frame,
+            [(lt_frame.proposition(["lake"]), 1.0 - 1e-12 + 5e-10), (lt_frame.full(), 1e-12)],
+        )
+        m2 = mass_new(lt_frame, [(lt_frame.proposition(["tower"]), 1.0 + 5e-10)])
+        report = combine(m1, m2)
+        assert focal_map(report.result) == {frozenset({"tower"}): 1.0}
+        assert report.conflict == 1.0
+        assert conflict_mass(m1, m2) == 1.0
+
+    def test_lockstep_conflict_that_rounds_above_one_is_clamped(self):
+        # one accumulator on three atoms whose rows total an ulp above 1, as
+        # rows scaled by their own total can; a certain support on the middle
+        # atom meets only the whole frame, 1e-20, and conflicts with the rest
+        masses = np.array([0.5, 0.5000000000000002, 1e-20])
+        assert masses[0] + masses[1] > 1.0
+        step, bits, scaled, conflict = combine_module._sum_supports(
+            np.zeros(3, np.int16), np.array([0b001, 0b100, 0b111], np.uint64), masses,
+            np.array([0b010], np.uint64), np.array([1.0]), 3, 0,
+        )
+        assert conflict.tolist() == [1.0]
+        assert (step.tolist(), bits.tolist(), scaled.tolist()) == ([0], [0b010], [1.0])
 
 
 combine_module = importlib.import_module("evident.combine")
