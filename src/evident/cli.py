@@ -1,22 +1,24 @@
 """Command-line interface: scenario replay, evidence fusion, query routing.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error. Each command imports
+the modules it uses, so ``route``, which needs no arrays, never loads NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._jsonutil import parse_document, require
-from .combine import combine_all
 from .errors import EvidentError, ParseError
 from .frames import Frame
-from .masses import MassFunction
-from .routing import decompose, load_query, load_sources, poll
-from .scenario import emit_trace, load_scenario, run_scenario
+
+if TYPE_CHECKING:
+    from .masses import MassFunction
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,6 +54,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import emit_trace, load_scenario, run_scenario
+
     scenario = load_scenario(_read(args.scenario))
     if args.window is not None:
         scenario = dataclasses.replace(scenario, window=args.window)
@@ -64,6 +68,8 @@ def _cmd_run(args) -> int:
 
 
 def _load_masses(text: str) -> tuple[Frame, list[MassFunction]]:
+    from .masses import MassFunction
+
     doc = parse_document(text)
     require(isinstance(doc, dict), "masses file must be a JSON object")
     require(isinstance(doc.get("frame"), list), "masses file needs a 'frame' list")
@@ -82,6 +88,8 @@ def _load_masses(text: str) -> tuple[Frame, list[MassFunction]]:
 
 
 def _cmd_combine(args) -> int:
+    from .combine import combine_all
+
     frame, masses = _load_masses(_read(args.masses))
     report = combine_all(masses)
     print(f"conflict: {report.conflict:.6f}")
@@ -95,6 +103,8 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    from .routing import decompose, load_query, load_sources, poll
+
     query = load_query(_read(args.query))
     sources = load_sources(_read(args.sources))
     shortlist = poll(query, sources, threshold=args.threshold)
@@ -132,4 +142,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # the package makes no BLAS call, yet OpenBLAS starts a thread per core
+    # when NumPy loads: about 100 ms of CPU per command on a 2-vCPU x86
+    # machine. A value the caller has set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

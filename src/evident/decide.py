@@ -19,8 +19,8 @@ import numpy as np
 from ._jsonutil import number, of_type
 from .combine import CombinationReport
 from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
-from .masses import EvidentialInterval, MassFunction, _intervals, _singleton_bounds
-from .frames import Proposition
+from .frames import EvidentialInterval, Proposition
+from .masses import MassFunction, _intervals, _singleton_bounds
 
 # singleton beliefs this close count as tied
 TIE_TOL = 1e-12

@@ -4,7 +4,9 @@ A :class:`Frame` fixes an ordered set of atomic hypotheses; a
 :class:`Proposition` is a subset of those atoms stored as a bitmask, so all
 set operations are single-word bit arithmetic and frames stay capped at 64
 atoms. Logical query expressions (and / or / implies over named attributes)
-translate onto this algebra via :func:`translate_logical`.
+translate onto this algebra via :func:`translate_logical`. The
+:class:`EvidentialInterval`, the [support, plausibility] bounds the package
+gives a proposition, lives here too, so routing reaches it without NumPy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Iterable, Mapping
 
+from ._jsonutil import number
 from .errors import (
     DuplicateAtom,
     EmptyFrame,
     FrameMismatch,
+    InvalidInterval,
     InvalidQuery,
     TooManyAtoms,
     UnknownAtom,
@@ -165,6 +169,29 @@ class Proposition:
                 f"propositions belong to different frames: "
                 f"{list(self.frame.atoms)} vs {list(other.frame.atoms)}"
             )
+
+
+@dataclass(frozen=True)
+class EvidentialInterval:
+    """[support, plausibility] bounds on the likelihood of a proposition."""
+
+    support: float
+    plausibility: float
+
+    def __post_init__(self):
+        support = number(self.support, "interval support", InvalidInterval, 0.0, 1.0)
+        number(self.plausibility, "interval plausibility", InvalidInterval, support, 1.0)
+
+    @property
+    def ignorance(self) -> float:
+        """Interval width: how much the evidence leaves undetermined."""
+        return self.plausibility - self.support
+
+    def __iter__(self):
+        return iter((self.support, self.plausibility))
+
+    def __repr__(self) -> str:
+        return f"[{self.support}, {self.plausibility}]"
 
 
 # -- query expressions --------------------------------------------------------

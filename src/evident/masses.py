@@ -7,13 +7,13 @@ plausibility is the total mass of focals it intersects, equivalently one
 minus the belief of its complement. The pair forms the evidential interval,
 whose width is the residual ignorance: complete ignorance is the unit
 interval, a precise probability assignment collapses every interval to a
-point.
+point. :class:`EvidentialInterval` is defined in :mod:`evident.frames` and
+re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -24,41 +24,17 @@ from .errors import (
     DegreeOutOfRange,
     EmptyFocus,
     FrameMismatch,
-    InvalidInterval,
     MassOnEmptySet,
     MissingAtom,
     NegativeMass,
     NotNormalized,
     WrongType,
 )
-from .frames import Frame, Proposition
+from .frames import EvidentialInterval, Frame, Proposition
 
 # construction-time tolerance for the unit-total check; stored masses are
 # never silently renormalized
 NORMALIZATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EvidentialInterval:
-    """[support, plausibility] bounds on the likelihood of a proposition."""
-
-    support: float
-    plausibility: float
-
-    def __post_init__(self):
-        support = number(self.support, "interval support", InvalidInterval, 0.0, 1.0)
-        number(self.plausibility, "interval plausibility", InvalidInterval, support, 1.0)
-
-    @property
-    def ignorance(self) -> float:
-        """Interval width: how much the evidence leaves undetermined."""
-        return self.plausibility - self.support
-
-    def __iter__(self):
-        return iter((self.support, self.plausibility))
-
-    def __repr__(self) -> str:
-        return f"[{self.support}, {self.plausibility}]"
 
 
 class MassFunction:

@@ -28,9 +28,9 @@ from .errors import (
     ParseError,
     SchemaMismatch,
     TooFewParts,
+    WrongType,
 )
-from .frames import And, Atom, Or, QueryExpr, _fold
-from .masses import EvidentialInterval
+from .frames import And, Atom, EvidentialInterval, Or, QueryExpr, _fold
 
 # deeper query documents are refused: the loader (_query_node) recurses once
 # per level, while trees built in the library may be any depth
@@ -68,12 +68,26 @@ class RoutePlan:
     ``assignments`` pair disjoint sub-expressions with the source chosen for
     them; recomposing the fragments (plus ``unassigned``) in place
     reconstructs the original query. ``total_support`` is the product of the
-    assigned fragments' supports.
+    assigned fragments' supports, a degree in [0, 1].
     """
 
     assignments: tuple[tuple[QueryExpr, str], ...]
     total_support: float
     unassigned: tuple[QueryExpr, ...]
+
+    def __post_init__(self):
+        for pair in of_type(self.assignments, tuple, "plan assignments"):
+            if not (
+                type(pair) is tuple
+                and len(pair) == 2
+                and isinstance(pair[0], QueryExpr)
+                and isinstance(pair[1], str)
+            ):
+                raise WrongType("plan assignments must be (query fragment, source id) pairs")
+        support = number(self.total_support, "plan total support", DegreeOutOfRange, 0.0, 1.0)
+        object.__setattr__(self, "total_support", support)
+        for node in of_type(self.unassigned, tuple, "unassigned fragments"):
+            of_type(node, QueryExpr, "unassigned fragment")
 
 
 def _bounds(node: QueryExpr, kids: Sequence[tuple], schema: Mapping[str, float]) -> tuple:

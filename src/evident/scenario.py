@@ -56,8 +56,8 @@ from .errors import (
     UnsortedReports,
     WrongType,
 )
-from .frames import Frame, Proposition
-from .masses import EvidentialInterval, MassFunction, simple_support, vacuous
+from .frames import EvidentialInterval, Frame, Proposition
+from .masses import MassFunction, simple_support, vacuous
 
 # slack when walking the step grid, so t0 + k*step lands on the last report
 _GRID_EPS = 1e-9

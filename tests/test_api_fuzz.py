@@ -8,9 +8,9 @@ Every slot that takes one of the package's objects (a mass function, a
 proposition, a report, a scenario, a source) gets strings, numbers, ``None``,
 lists, mappings and a query, and must refuse them with :class:`WrongType`.
 Of the result records, ``CombinationReport`` is fuzzed, because ``decide``
-takes one, and ``TraceRow``, because ``emit_trace`` takes them;
-``Decision``, ``SupportTriple`` and ``RoutePlan`` are only returned by the
-package, and are left out.
+takes one, ``TraceRow``, because ``emit_trace`` takes them, and
+``RoutePlan``, which ``evident route`` prints; ``Decision`` and
+``SupportTriple`` are only returned by the package, and are left out.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from evident import (
     Frame,
     MassFunction,
     Proposition,
+    RoutePlan,
     Scenario,
     SensorReport,
     SourceDescriptor,
@@ -111,6 +112,7 @@ CALLS = {
     "Scenario.conflict_threshold": lambda v: _replay(conflict_threshold=v),
     "TraceRow.time": lambda v: _row(time=v),
     "TraceRow.cumulative_conflict": lambda v: _row(cumulative_conflict=v),
+    "RoutePlan.total_support": lambda v: RoutePlan(((QUERY, "s"),), v, ()),
 }
 
 NOT_NUMBERS = ["x", "0.5", None, [[0.5]], True, False, math.nan, math.inf, -math.inf]
@@ -173,6 +175,9 @@ OBJECT_CALLS = {
     "TraceRow.intervals.pair": lambda v: _row(intervals=(v,)),
     "TraceRow.intervals.interval": lambda v: _row(intervals=(("lake", v),)),
     "TraceRow.status": lambda v: _row(status=v),
+    "RoutePlan.assignments": lambda v: RoutePlan(v, 1.0, ()),
+    "RoutePlan.assignments.pair": lambda v: RoutePlan((v,), 1.0, ()),
+    "RoutePlan.unassigned": lambda v: RoutePlan((), 1.0, v),
 }
 
 NOT_OBJECTS = ["x", "a", None, 0.5, 7, True, [["lake"]], {"lake": 1.0}, QUERY]
@@ -218,3 +223,29 @@ def test_a_well_formed_row_is_emitted():
 def test_malformed_rows_are_refused(fields):
     with pytest.raises(EvidentError):
         _row(**fields)
+
+
+def test_a_well_formed_plan_is_kept():
+    plan = RoutePlan(((QUERY, "s"),), 1, (Atom("b"),))
+    assert plan.assignments == ((QUERY, "s"),)
+    assert plan.unassigned == (Atom("b"),)
+    assert type(plan.total_support) is float and plan.total_support == 1.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"assignments": (("a", "s"),)},
+        {"assignments": ((QUERY, 5),)},
+        {"assignments": ((QUERY, "s", "t"),)},
+        {"assignments": ([QUERY, "s"],)},
+        {"unassigned": ("a",)},
+        {"total_support": 1.5},
+        {"total_support": -0.1},
+    ],
+    ids=repr,
+)
+def test_malformed_plans_are_refused(fields):
+    plan = dict(assignments=((QUERY, "s"),), total_support=0.5, unassigned=())
+    with pytest.raises(EvidentError):
+        RoutePlan(**{**plan, **fields})

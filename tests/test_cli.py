@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -15,6 +16,22 @@ from evident.cli import main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
+
+
+def _python(*args: str, **env: str | None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on the source tree, with ``env`` over the
+    current environment (None unsets a variable)."""
+    merged = dict(os.environ)
+    merged["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), merged.get("PYTHONPATH")) if p
+    )
+    for key, value in env.items():
+        merged.pop(key, None)
+        if value is not None:
+            merged[key] = value
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=merged, timeout=60
+    )
 
 
 @pytest.fixture
@@ -191,22 +208,12 @@ class TestRun:
         ]
         path = tmp_path / "probe.json"
         path.write_text(json.dumps({"frame": atoms, "window": 100, "reports": reports}))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         capped = (
-            "import sys, evident.cli;"
+            "import sys, evident.cli, evident.combine;"
             " sys.modules['evident.combine'].MAX_PAIRS = 4096;"
             " sys.exit(evident.cli.main(sys.argv[1:]))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", capped, "run", str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = _python("-c", capped, "run", str(path))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: combining")
         assert "above the cap of 4096" in proc.stderr
@@ -243,7 +250,7 @@ class TestCombine:
         assert capsys.readouterr().err.startswith("error: atom {")
 
     def test_combination_past_the_pair_cap_exits_1(self, masses_file, capsys, monkeypatch):
-        monkeypatch.setattr(sys.modules["evident.combine"], "MAX_PAIRS", 3)
+        monkeypatch.setattr(importlib.import_module("evident.combine"), "MAX_PAIRS", 3)
         assert main(["combine", str(masses_file)]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
@@ -324,3 +331,111 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, command):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+class TestImports:
+    """What loading the package and running a command import and set, each
+    in a fresh interpreter."""
+
+    @pytest.mark.parametrize("module", ["evident", "evident.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        proc = _python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+        assert (proc.stdout, proc.stderr) == ("False\n", "")
+
+    def test_route_never_loads_numpy(self, route_files):
+        qpath, spath = route_files
+        proc = _python("-X", "importtime", "-m", "evident", "route", str(qpath), str(spath))
+        assert proc.returncode == 0
+        assert "and(altitude,terrain) -> dma" in proc.stdout
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "evident.routing" in imported
+        assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+    def test_submodule_imports_leave_the_public_functions(self):
+        # decide is resolved before the submodules load, combine after
+        code = (
+            "import importlib, evident\n"
+            "decide = evident.decide\n"
+            "import evident.scenario\n"
+            "assert evident.decide is decide\n"
+            "for name in ('combine', 'decide'):\n"
+            "    module = importlib.import_module('evident.' + name)\n"
+            "    assert getattr(evident, name) is getattr(module, name), name\n"
+            "print('ok')\n"
+        )
+        proc = _python("-c", code)
+        assert (proc.stdout, proc.stderr) == ("ok\n", "")
+
+    def test_star_import_and_dir_list_every_public_name(self):
+        code = (
+            "import evident\n"
+            "print(set(evident.__all__) - set(dir(evident)))\n"
+            "from evident import *\n"
+            "print([name for name in evident.__all__ if name not in globals()])\n"
+        )
+        proc = _python("-c", code)
+        assert (proc.stdout, proc.stderr) == ("set()\n[]\n", "")
+
+    def test_public_names_are_their_modules_objects(self):
+        code = (
+            "import importlib, evident, evident.masses\n"
+            "print(evident.masses.EvidentialInterval is evident.EvidentialInterval)\n"
+            "for name in evident.__all__[1:]:\n"
+            "    value = getattr(evident, name)\n"
+            "    module = importlib.import_module(value.__module__)\n"
+            "    assert getattr(module, name) is value, name\n"
+            "print(evident.__all__)\n"
+        )
+        proc = _python("-c", code)
+        assert proc.stderr == ""
+        same, names = proc.stdout.splitlines()
+        assert same == "True"
+        assert names == repr(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("callers, expected", [(None, "1"), ("3", "3")])
+    def test_entrypoint_defaults_blas_threads_to_one(self, callers, expected):
+        code = (
+            "import os, sys, evident.cli\n"
+            "try:\n"
+            "    evident.cli.entrypoint()\n"
+            "finally:\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules,"
+            " file=sys.stderr)\n"
+        )
+        proc = _python(
+            "-c", code, "run", str(DATA / "lake_tower.json"), OPENBLAS_NUM_THREADS=callers
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (DATA / "lake_tower_golden.csv").read_text()
+        assert proc.stderr == f"{expected} True\n"
+
+    def test_the_library_leaves_the_environment_alone(self, masses_file):
+        code = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import evident, evident.cli\n"
+            f"text = open({str(DATA / 'lake_tower.json')!r}).read()\n"
+            "evident.emit_trace(evident.run_scenario(evident.load_scenario(text)))\n"
+            f"evident.cli.main(['combine', {str(masses_file)!r}])\n"
+            "print(dict(os.environ) == before, 'numpy' in sys.modules)\n"
+        )
+        proc = _python("-c", code, OPENBLAS_NUM_THREADS=None)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "True True"
+
+
+# evident.__all__, which lazy loading must leave as it was
+PUBLIC_NAMES = [
+    "BACKEND", "And", "Atom", "CombinationReport", "Decision", "DecisionStatus",
+    "EvidentError", "EvidentialInterval", "Frame", "Implies", "MassFunction", "Or",
+    "Proposition", "QueryExpr", "RoutePlan", "Scenario", "SensorReport",
+    "SourceDescriptor", "SupportTriple", "TraceRow", "answerability",
+    "bayesian_from_probabilities", "combine", "combine_all", "conflict_mass", "decide",
+    "decompose", "discount", "emit_trace", "load_query", "load_scenario", "load_sources",
+    "make_view", "mass_new", "poll", "run_scenario", "simple_support", "support_pro_con",
+    "translate_logical", "vacuous",
+]
