@@ -72,27 +72,32 @@ def _check_pairs(n1: int, n2: int) -> None:
         )
 
 
-def _grouped(m1: MassFunction, m2: MassFunction):
-    """(conflict, group bits, group sums): the pair's products pooled by
-    intersection, with the empty intersection's share split off as conflict,
-    clamped at 1."""
+def _summed(m1: MassFunction, m2: MassFunction):
+    """(conflict, bits, masses): the orthogonal sum of ``m1`` and ``m2`` as arrays.
+
+    The conflict is the product mass on the empty set, clamped at 1; the
+    positive products on non-empty sets, pooled by intersection, are scaled
+    by their exact total. Both arrays are empty on total conflict.
+    """
     of_type(m1, MassFunction, "combined evidence")
     of_type(m2, MassFunction, "combined evidence")
     if m1.frame != m2.frame:
         raise FrameMismatch("cannot combine evidence on different frames")
     _check_pairs(len(m1), len(m2))
     a, b = _ordered(m1, m2)
-    group_bits, group_sums = _kernels.combine_products(
-        a._bits, a._masses, b._bits, b._masses, len(m1.frame)
-    )
-    if group_bits.shape[0] and int(group_bits[0]) == 0:
-        return min(float(group_sums[0]), 1.0), group_bits[1:], group_sums[1:]
-    return 0.0, group_bits, group_sums
+    bits, sums = _kernels.combine_products(a._bits, a._masses, b._bits, b._masses, len(m1.frame))
+    conflict = 0.0
+    if bits.shape[0] and int(bits[0]) == 0:
+        conflict = min(float(sums[0]), 1.0)
+        bits, sums = bits[1:], sums[1:]
+    keep = sums > 0.0
+    sums = sums[keep]
+    return conflict, bits[keep], sums / math.fsum(sums.tolist())
 
 
 def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
     """Mass the pair would assign to the empty set: their degree of conflict."""
-    return _grouped(m1, m2)[0]
+    return _summed(m1, m2)[0]
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
@@ -111,15 +116,10 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     ``NORMALIZATION_TOL``) it is not rescaled, and so is off the conflict of
     exactly normalised inputs by the same order.
     """
-    conflict, group_bits, group_sums = _grouped(m1, m2)
-    keep = group_sums > 0.0
-    sums = group_sums[keep]
-    if not sums.shape[0]:
+    conflict, bits, masses = _summed(m1, m2)
+    if not bits.shape[0]:
         raise TotalConflict()
-    result = MassFunction._from_arrays(
-        m1.frame, group_bits[keep], sums / math.fsum(sums.tolist())
-    )
-    return CombinationReport(result=result, conflict=conflict)
+    return CombinationReport(MassFunction._from_arrays(m1.frame, bits, masses), conflict)
 
 
 # A fold aggregate is a (fused mass function, retained) pair; retained is the
@@ -133,11 +133,10 @@ def _sum(a: _Aggregate, b: _Aggregate) -> _Aggregate:
     """One fold step: the aggregate of ``a`` then ``b``."""
     if a[0] is None or b[0] is None:
         return _CONTRADICTED
-    try:
-        report = combine(a[0], b[0])
-    except TotalConflict:
+    conflict, bits, masses = _summed(a[0], b[0])
+    if not bits.shape[0]:
         return _CONTRADICTED
-    return report.result, a[1] * b[1] * (1.0 - report.conflict)
+    return MassFunction._from_arrays(a[0].frame, bits, masses), a[1] * b[1] * (1.0 - conflict)
 
 
 def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._jsonutil import number, of_type
 from .combine import CombinationReport
-from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition
+from .errors import DegreeOutOfRange, FrameMismatch, TrivialProposition, WrongType
 from .frames import EvidentialInterval, Proposition
 from .masses import MassFunction, _intervals, _singleton_bounds
 
@@ -33,6 +33,11 @@ class SupportTriple:
     pro: float
     con: float
     uncommitted: float
+
+    def __post_init__(self):
+        for name in ("pro", "con", "uncommitted"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, number(value, name, DegreeOutOfRange, 0.0, 1.0))
 
 
 class DecisionStatus(enum.Enum):
@@ -60,6 +65,33 @@ class Decision:
     reason: str | None
     ranking: tuple[tuple[str, EvidentialInterval], ...]
     cumulative_conflict: float
+
+    def __post_init__(self):
+        _check_outcome(self, self.ranking, "decision")
+
+
+def _check_outcome(record, pairs, name: str) -> None:
+    """Check the fields a :class:`Decision` and a trace row share.
+
+    ``record`` holds a ``cumulative_conflict`` in [0, 1] (else
+    :class:`DegreeOutOfRange`), stored back as a float, a
+    :class:`DecisionStatus` ``status``, and text or None for its ``reason``
+    and ``hypothesis``; ``pairs``, its atoms' intervals, is a tuple of one or
+    more (atom name, :class:`EvidentialInterval`) pairs (else
+    :class:`WrongType`).
+    """
+    conflict = number(record.cumulative_conflict, f"{name} conflict", DegreeOutOfRange, 0.0, 1.0)
+    of_type(record.status, DecisionStatus, f"{name} status")
+    if {type(record.reason), type(record.hypothesis)} - {str, type(None)}:
+        raise WrongType(f"{name} reason and hypothesis must be text or None")
+    of_type(pairs, tuple, f"{name} intervals")
+    try:
+        atoms, intervals = zip(*pairs)
+    except (TypeError, ValueError):  # not pairs, or none
+        atoms, intervals = (), ()
+    if set(map(type, atoms)) != {str} or set(map(type, intervals)) != {EvidentialInterval}:
+        raise WrongType(f"{name} intervals must be one or more (atom, interval) pairs")
+    object.__setattr__(record, "cumulative_conflict", conflict)
 
 
 def support_pro_con(m: MassFunction, prop: Proposition) -> SupportTriple:
@@ -99,7 +131,7 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     )
     of_type(report, CombinationReport, "decided report")
     bel, (intervals,), ((status, reason, hypothesis),) = _decide_block(
-        [report], conflict_threshold
+        [report.result], [report.conflict], conflict_threshold
     )
     atoms = report.result.frame.atoms
     ranking = tuple(
@@ -108,17 +140,18 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     return Decision(status, hypothesis, reason, ranking, report.conflict)
 
 
-def _decide_block(reports: list[CombinationReport], threshold: float):
-    """Every atom's interval and the decision rule at each of ``reports``.
+def _decide_block(fused: list[MassFunction], conflicts: list[float], threshold: float):
+    """Every atom's interval and the decision rule at each step of a block.
 
-    The reports share one frame. Every atom's belief and plausibility at
-    every report comes from one :func:`masses._singleton_bounds` call, and
-    the rule is applied to all of them at once. Returns (bel, intervals,
-    verdicts): the (reports, atoms) belief array, each report's intervals in
-    frame order, and each report's (status, reason, hypothesis).
+    Step k is the fused mass function ``fused[k]`` with the cumulative
+    conflict ``conflicts[k]``, a degree; the steps share one frame. Every
+    atom's belief and plausibility at every step comes from one
+    :func:`masses._singleton_bounds` call, and the rule is applied to all of
+    them at once. Returns (bel, intervals, verdicts): the (steps, atoms)
+    belief array, each step's intervals in frame order, and each step's
+    (status, reason, hypothesis).
     """
-    frame = reports[0].result.frame
-    fused = [r.result for r in reports]
+    frame = fused[0].frame
     step = np.repeat(np.arange(len(fused)), [len(m) for m in fused])
     bits = np.concatenate([m._bits for m in fused])
     masses = np.concatenate([m._masses for m in fused])
@@ -129,7 +162,7 @@ def _decide_block(reports: list[CombinationReport], threshold: float):
     rivals = np.arange(len(frame)) != best[:, None]
     runner_up = bel.max(axis=1, where=rivals, initial=-np.inf)
     widest_rival = pl.max(axis=1, where=rivals, initial=-np.inf)
-    high = np.array([r.conflict for r in reports]) >= threshold
+    high = np.array(conflicts) >= threshold
     tie = runner_up >= top - TIE_TOL
     dominant = top > widest_rival
     verdicts = []

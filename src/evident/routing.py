@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._jsonutil import number, of_type, parse_document, require
@@ -39,7 +40,11 @@ MAX_QUERY_DEPTH = 100
 
 @dataclass(frozen=True, eq=True)
 class SourceDescriptor:
-    """One database or knowledge source: id, capability weights, priority."""
+    """One database or knowledge source: id, capability weights, priority.
+
+    The checked schema is kept read-only, so its weights stay in [0, 1], and
+    a descriptor hashes by its id, its weights and its priority.
+    """
 
     id: str
     schema: Mapping[str, float]
@@ -58,7 +63,13 @@ class SourceDescriptor:
                 raise InvalidSource(f"blank attribute name in source {self.id!r}")
             name = f"weight of {attr!r} in source {self.id!r}"
             schema[attr] = number(weight, name, InvalidSource, 0.0, 1.0)
-        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "schema", MappingProxyType(schema))
+
+    def __hash__(self):
+        return hash((self.id, frozenset(self.schema.items()), self.priority))
+
+    def __reduce__(self):  # a read-only mapping does not pickle; its dict does
+        return SourceDescriptor, (self.id, dict(self.schema), self.priority)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ and arbitrary numbers in its numeric slot; each call must return or raise an
 Every slot that takes one of the package's objects (a mass function, a
 proposition, a report, a scenario, a source) gets strings, numbers, ``None``,
 lists, mappings and a query, and must refuse them with :class:`WrongType`.
-Of the result records, ``CombinationReport`` is fuzzed, because ``decide``
-takes one, ``TraceRow``, because ``emit_trace`` takes them, and
-``RoutePlan``, which ``evident route`` prints; ``Decision`` and
-``SupportTriple`` are only returned by the package, and are left out.
+Every result record checks its own fields when it is built, so each is
+fuzzed the same way: ``CombinationReport``, ``TraceRow``, ``RoutePlan``,
+``Decision`` and ``SupportTriple``.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 from evident import (
     Atom,
     CombinationReport,
+    Decision,
     DecisionStatus,
     EvidentialInterval,
     Frame,
@@ -33,6 +33,7 @@ from evident import (
     Scenario,
     SensorReport,
     SourceDescriptor,
+    SupportTriple,
     TraceRow,
     answerability,
     bayesian_from_probabilities,
@@ -50,7 +51,14 @@ from evident import (
     simple_support,
     support_pro_con,
 )
-from evident.errors import EvidentError, WrongType
+from evident.errors import (
+    DegreeOutOfRange,
+    EvidentError,
+    FrameMismatch,
+    InvalidTraceRow,
+    UnknownTraceFormat,
+    WrongType,
+)
 
 FRAME = Frame(["lake", "tower"])
 LAKE = FRAME.singleton("lake")
@@ -68,17 +76,33 @@ def _replay(*reports, **params) -> str:
     return emit_trace(run_scenario(Scenario(FRAME, reports, **params)))
 
 
+INTERVALS = (("lake", EvidentialInterval(0.6, 1.0)), ("tower", EvidentialInterval(0.0, 0.4)))
+# the fields of one decided row on FRAME
+ROW = dict(
+    time=1.0,
+    intervals=INTERVALS,
+    cumulative_conflict=0.0,
+    status=DecisionStatus.DECIDED,
+    reason=None,
+    hypothesis="lake",
+)
+
+
 def _row(**fields) -> str:
-    # one decided row on FRAME, with ``fields`` in place of its own
-    row = dict(
-        time=1.0,
-        intervals=(("lake", EvidentialInterval(0.6, 1.0)), ("tower", EvidentialInterval(0.0, 0.4))),
-        cumulative_conflict=0.0,
+    # the row of ROW, with ``fields`` in place of its own
+    return emit_trace([TraceRow(**{**ROW, **fields})])
+
+
+def _decision(**fields) -> Decision:
+    # the decision of ROW, with ``fields`` in place of its own
+    decision = dict(
         status=DecisionStatus.DECIDED,
-        reason=None,
         hypothesis="lake",
+        reason=None,
+        ranking=INTERVALS,
+        cumulative_conflict=0.0,
     )
-    return emit_trace([TraceRow(**{**row, **fields})])
+    return Decision(**{**decision, **fields})
 
 
 def _route(source: SourceDescriptor):
@@ -113,6 +137,10 @@ CALLS = {
     "TraceRow.time": lambda v: _row(time=v),
     "TraceRow.cumulative_conflict": lambda v: _row(cumulative_conflict=v),
     "RoutePlan.total_support": lambda v: RoutePlan(((QUERY, "s"),), v, ()),
+    "Decision.cumulative_conflict": lambda v: _decision(cumulative_conflict=v),
+    "SupportTriple.pro": lambda v: SupportTriple(v, 0.0, 0.5),
+    "SupportTriple.con": lambda v: SupportTriple(0.5, v, 0.0),
+    "SupportTriple.uncommitted": lambda v: SupportTriple(0.0, 0.5, v),
 }
 
 NOT_NUMBERS = ["x", "0.5", None, [[0.5]], True, False, math.nan, math.inf, -math.inf]
@@ -178,6 +206,10 @@ OBJECT_CALLS = {
     "RoutePlan.assignments": lambda v: RoutePlan(v, 1.0, ()),
     "RoutePlan.assignments.pair": lambda v: RoutePlan((v,), 1.0, ()),
     "RoutePlan.unassigned": lambda v: RoutePlan((), 1.0, v),
+    "Decision.status": lambda v: _decision(status=v),
+    "Decision.ranking": lambda v: _decision(ranking=v),
+    "Decision.ranking.pair": lambda v: _decision(ranking=(v,)),
+    "Decision.ranking.interval": lambda v: _decision(ranking=(("lake", v),)),
 }
 
 NOT_OBJECTS = ["x", "a", None, 0.5, 7, True, [["lake"]], {"lake": 1.0}, QUERY]
@@ -223,6 +255,76 @@ def test_a_well_formed_row_is_emitted():
 def test_malformed_rows_are_refused(fields):
     with pytest.raises(EvidentError):
         _row(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"time": math.nan}, InvalidTraceRow),
+        ({"time": "1.0"}, InvalidTraceRow),
+        ({"cumulative_conflict": 1.5}, DegreeOutOfRange),
+        ({"cumulative_conflict": -0.1}, DegreeOutOfRange),
+        ({"status": "decided"}, WrongType),
+        ({"reason": 5}, WrongType),
+        ({"hypothesis": ["lake"]}, WrongType),
+        ({"intervals": ()}, WrongType),
+        ({"intervals": list(INTERVALS)}, WrongType),
+        ({"intervals": (("lake", (0.6, 1.0)),)}, WrongType),
+        ({"intervals": ((0, EvidentialInterval(0.6, 1.0)),)}, WrongType),
+    ],
+    ids=repr,
+)
+def test_a_malformed_row_is_refused_when_built(fields, error):
+    with pytest.raises(error):
+        TraceRow(**{**ROW, **fields})
+
+
+def test_a_well_formed_row_keeps_its_fields_as_floats():
+    row = TraceRow(**{**ROW, "time": 1, "cumulative_conflict": 0})
+    assert (row.time, row.cumulative_conflict) == (1.0, 0.0)
+    assert type(row.time) is float and type(row.cumulative_conflict) is float
+    assert row.intervals == INTERVALS
+
+
+def test_emit_trace_refuses_rows_on_other_atoms():
+    renamed = (("ridge", EvidentialInterval(0.6, 1.0)), INTERVALS[1])
+    with pytest.raises(FrameMismatch):
+        emit_trace([TraceRow(**ROW), TraceRow(**{**ROW, "intervals": renamed})])
+
+
+def test_an_unknown_format_is_refused_before_the_rows():
+    with pytest.raises(UnknownTraceFormat):
+        emit_trace([], "yaml")
+
+
+def test_a_well_formed_decision_is_kept():
+    decision = _decision(cumulative_conflict=1)
+    assert decision.ranking == INTERVALS
+    assert type(decision.cumulative_conflict) is float and decision.cumulative_conflict == 1.0
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"reason": 5}, WrongType),
+        ({"hypothesis": ["lake"]}, WrongType),
+        ({"ranking": ()}, WrongType),
+        ({"cumulative_conflict": 6}, DegreeOutOfRange),
+    ],
+    ids=repr,
+)
+def test_malformed_decisions_are_refused(fields, error):
+    with pytest.raises(error):
+        _decision(**fields)
+
+
+def test_bogus_records_are_refused():
+    with pytest.raises(DegreeOutOfRange):
+        SupportTriple("x", None, 2)
+    with pytest.raises(EvidentError):
+        Decision("bogus", 3, 4, 5, 6)
+    triple = SupportTriple(1, 0, 0)
+    assert (triple.pro, triple.con, triple.uncommitted) == (1.0, 0.0, 0.0)
 
 
 def test_a_well_formed_plan_is_kept():

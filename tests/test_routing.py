@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,31 @@ class TestDescriptors:
     def test_blank_id(self):
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="", schema={})
+
+    def test_checked_schema_is_read_only(self):
+        weights = {"a": 0.5}
+        src = SourceDescriptor("s", weights)
+        with pytest.raises(TypeError):
+            src.schema["a"] = 7
+        weights["a"] = 7
+        assert src.schema == {"a": 0.5}
+        assert answerability(Atom("a"), src).support == 0.5
+
+    def test_descriptors_hash_by_id_weights_and_priority(self):
+        src = SourceDescriptor("s", {"a": 0.5, "b": 1})
+        same = SourceDescriptor("s", {"b": 1.0, "a": 0.5})
+        assert src == same and hash(src) == hash(same)
+        others = [
+            SourceDescriptor("t", {"a": 0.5, "b": 1}),
+            SourceDescriptor("s", {"a": 0.4, "b": 1}),
+            SourceDescriptor("s", {"a": 0.5, "b": 1}, priority=1),
+        ]
+        assert len({src, same, *others}) == 4
+
+    def test_descriptors_copy_and_pickle(self):
+        src = SourceDescriptor("s", {"a": 0.5}, priority=2)
+        for twin in (copy.copy(src), copy.deepcopy(src), pickle.loads(pickle.dumps(src))):
+            assert twin == src and hash(twin) == hash(src)
 
 
 class TestFileFormats:

@@ -199,6 +199,36 @@ class TestRunScenario:
         # selection is strict on the left edge: t - window < report time
         assert last["lake"].support == 0.0
 
+    @pytest.mark.parametrize("rate", [1.0, 0.9])
+    def test_last_report_a_rounding_above_its_step_is_fused(self, rate):
+        # the grid's 35th time is 1 + 34 * 0.7 = 24.799999999999997, which
+        # reaches the report at 24.8 within the grid's slack
+        scenario = scenario_from(
+            ["lake", "tower"],
+            [("eo", 1, ["lake"], 0.5), ("ir", 24.8, ["tower"], 0.9)],
+            window=5,
+            step=0.7,
+            discount_rate=rate,
+        )
+        last = run_scenario(scenario)[-1]
+        assert last.time == 1 + 34 * 0.7 < 24.8
+        assert dict(last.intervals)["tower"] == EvidentialInterval(0.9, 1.0)
+        assert (last.status, last.hypothesis) == (DecisionStatus.DECIDED, "tower")
+        assert_matches_reference(scenario)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.9])
+    def test_report_a_rounding_inside_the_left_edge_is_out(self, rate):
+        # at t = 0.1 + 10, t - window is 0.09999999999999964: the report at
+        # 0.1 is a window old, on the left edge within the slack
+        reports = [("eo", 0.1, ["lake"], 0.6), ("ir", 10.1, ["tower"], 0.5)]
+        scenario = scenario_from(
+            ["lake", "tower"], reports, window=10.0, step=10.0, discount_rate=rate
+        )
+        last = run_scenario(scenario)[-1]
+        assert last.time == 10.1 and last.time - 10.0 < 0.1
+        assert dict(last.intervals)["lake"].support == 0.0
+        assert_matches_reference(scenario)
+
     def test_gap_steps_are_vacuous_ties(self):
         scenario = scenario_from(
             ["lake", "tower"],
@@ -334,11 +364,12 @@ def replay_reference(scenario: Scenario):
     out = []
     k = 0
     t = t0
+    rate = scenario.discount_rate
     while t <= t_end + 1e-9:
         supports = [
-            simple_support(frame, r.focus, scenario.discount_rate ** (t - r.time) * r.degree)
+            simple_support(frame, r.focus, rate ** max(t - r.time, 0.0) * r.degree)
             for r in scenario.reports
-            if t - scenario.window < r.time <= t
+            if in_window(scenario, t, r.time)
         ]
         if not supports:
             supports = [vacuous(frame)]
@@ -349,6 +380,15 @@ def replay_reference(scenario: Scenario):
         k += 1
         t = t0 + k * scenario.step
     return out
+
+
+def in_window(scenario: Scenario, t: float, time: float) -> bool:
+    """Whether a report at ``time`` is in the window at grid time ``t``.
+
+    It is in at t and out at t - window, each within the grid's slack of
+    1e-9; within the slack of t it is in however narrow the window.
+    """
+    return t - scenario.window + 1e-9 < time <= t + 1e-9 or abs(time - t) <= 1e-9
 
 
 def near_decision_margin(intervals: dict, conflict: float, threshold: float) -> bool:
@@ -543,6 +583,46 @@ class TestReplayProperties:
         monkeypatch.setattr(combine_module, "combine", refuse)
         assert emit_trace(run_scenario(scenario)) == want
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: aged_stream(7, 6, 300, 0.37, 9.0, 0.99, step=0.7),
+            lambda: load_scenario(
+                gen.dumps(gen.replay_scenario(random.Random("replay-aged:1"), discount_rate=0.99))
+            ),
+        ],
+        ids=["fractional-ages", "benchmark-seed-1"],
+    )
+    def test_aged_degrees_are_pythons_float_power(self, make, monkeypatch):
+        # NumPy's vectorised ``**`` can be off Python's by an ulp, which the
+        # reference tests' 1e-12 would not see: every degree the lockstep
+        # sums must be Python's float, bit for bit. A report up to the grid's
+        # slack after t (as 210 * 0.37 is after 111 * 0.7) has age 0
+        scenario = make()
+        rounds = []
+        round_supports = scenario_module._round_supports
+        sum_supports = scenario_module._sum_supports
+
+        def spy_round(scenario, block, j):
+            focus, degree = round_supports(scenario, block, j)
+            rounds.append((block, j, degree))
+            return focus, degree
+
+        def spy_sum(step, bits, masses, focus, degree, *rest):
+            assert degree is rounds[-1][2]
+            return sum_supports(step, bits, masses, focus, degree, *rest)
+
+        monkeypatch.setattr(scenario_module, "_round_supports", spy_round)
+        monkeypatch.setattr(scenario_module, "_sum_supports", spy_sum)
+        run_scenario(scenario)
+        rate, checked = scenario.discount_rate, 0
+        for block, j, degree in rounds:
+            picked = [(t, scenario.reports[lo + j]) for t, lo, _ in block]
+            want = [rate ** max(t - r.time, 0.0) * r.degree for t, r in picked]
+            assert [d.hex() for d in degree.tolist()] == [w.hex() for w in want]
+            checked += len(want)
+        assert checked > 3000
+
     def test_block_over_the_pair_cap_folds_one_step_at_a_time(self, monkeypatch):
         scenario = AGED_CASES["grid-across-block-seams"]()
         want = emit_trace(run_scenario(scenario))
@@ -695,9 +775,9 @@ def window_supports(scenario: Scenario, t: float) -> list[dict]:
     """Focal maps of the supports in the window at ``t``, aged as the replay ages them."""
     frame, rate = scenario.frame, scenario.discount_rate
     return [
-        focal_map(simple_support(frame, r.focus, rate ** (t - r.time) * r.degree))
+        focal_map(simple_support(frame, r.focus, rate ** max(t - r.time, 0.0) * r.degree))
         for r in scenario.reports
-        if t - scenario.window < r.time <= t
+        if in_window(scenario, t, r.time)
     ]
 
 
