@@ -8,7 +8,9 @@ equals the sum over the rows the mask keeps, bit for bit, and two kernels that
 add the same rows in the same order agree to the last bit.
 
 :func:`belief_sum` and :func:`plausibility_sum` are the masked sums for one
-target, so their scratch arrays grow with the focal count alone.
+target, so their scratch arrays grow with the focal count alone;
+:func:`ordered_total` is the unmasked one, the total an orthogonal sum scales
+by.
 
 :func:`atom_sums` is every atom's belief and plausibility at once, for many
 steps, from flat (step, mask, mass) rows: one step is a mass function's
@@ -55,6 +57,11 @@ _CHUNK_CELLS = 1 << 12
 def _sum_where(hit: np.ndarray, masses: np.ndarray) -> float:
     # bin 1 adds the masses of the hits in input order
     return float(np.bincount(hit, weights=masses, minlength=2)[1])
+
+
+def ordered_total(values: np.ndarray) -> float:
+    """The sum of ``values`` added in input order, as one bin of the rule."""
+    return float(np.bincount(np.zeros(values.shape[0], np.intp), weights=values, minlength=1)[0])
 
 
 def belief_sum(bits: np.ndarray, masses: np.ndarray, target: np.uint64) -> float:
@@ -132,6 +139,7 @@ def support_products(
     focus: np.ndarray,
     degree: np.ndarray,
     n_atoms: int,
+    leads: np.ndarray | None = None,
 ):
     """Each accumulator's focals times its simple support, pooled by intersection.
 
@@ -142,10 +150,25 @@ def support_products(
     (step, bits, sums): one row per distinct (step, mask), ascending by step
     and then by mask (possibly 0, the conflict group), each sum adding its
     products in input order.
+
+    The products are in support-major order: every focal's product with the
+    focus, then every focal's with the whole frame, as
+    :func:`combine_products` orders them with the support first. ``leads``
+    holds the first rows of two-focal accumulators whose products come in
+    accumulator-major order instead, as with the accumulator first: the
+    first focal's two products, then the second's.
     """
+    rows = step.shape[0]
     inter = np.concatenate([bits & focus[step], bits])
     prod = np.concatenate([masses * degree[step], masses * (1.0 - degree)[step]])
     step = np.concatenate([step, step])
+    if leads is not None and leads.shape[0]:
+        # the first focal's product with the whole frame trades places with
+        # the second focal's product with the focus
+        swap = np.concatenate([leads + 1, leads + rows])
+        back = np.concatenate([leads + rows, leads + 1])
+        inter[swap] = inter[back]
+        prod[swap] = prod[back]
     # least significant digit first: numpy sorts 16-bit keys stably, by radix.
     # The rows move after each pass, one array at a time, which holds less
     # than composing the orders.

@@ -16,14 +16,17 @@ depend on how it is grouped, and one rule holds for it on every path:
   because inputs are accepted when their totals are 1 within
   ``NORMALIZATION_TOL``.
 
-The aged replay makes the same sum for many accumulators at once, each with
-one simple support (:func:`_sum_supports`); both paths read the pair cap
-from this module.
+The replays make the same sum for many accumulators at once, each with one
+simple support (:func:`_sum_supports`), and get the same bits as
+:func:`combine` of each accumulator with its :func:`simple_support`. Both
+paths order the operands alike, the one with fewer focals first (ties by
+their bytes), add each group's products in that order, and scale the
+survivors by their total added in mask order; both read the pair cap from
+this module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,12 +58,18 @@ class CombinationReport:
         object.__setattr__(self, "conflict", conflict)
 
 
-def _ordered(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, MassFunction]:
-    # canonical operand order: both call orders then run the identical
-    # accumulation path, making the sum commutative bit-for-bit
-    k1 = (m1._bits.tobytes(), m1._masses.tobytes())
-    k2 = (m2._bits.tobytes(), m2._masses.tobytes())
-    return (m1, m2) if k1 <= k2 else (m2, m1)
+def _leads(a, b) -> bool:
+    """Whether focal set ``a`` is summed before ``b``, each a (bits, masses) pair.
+
+    The canonical operand order: both call orders then run the identical
+    accumulation path, making the sum commutative bit-for-bit. The operand
+    with fewer focals leads, so a simple support leads a larger accumulator,
+    as :func:`_sum_supports` lays its products out; equal counts are ordered
+    by the operands' bytes.
+    """
+    if a[0].shape[0] != b[0].shape[0]:
+        return a[0].shape[0] < b[0].shape[0]
+    return (a[0].tobytes(), a[1].tobytes()) <= (b[0].tobytes(), b[1].tobytes())
 
 
 def _check_pairs(n1: int, n2: int) -> None:
@@ -77,22 +86,41 @@ def _summed(m1: MassFunction, m2: MassFunction):
 
     The conflict is the product mass on the empty set, clamped at 1; the
     positive products on non-empty sets, pooled by intersection, are scaled
-    by their exact total. Both arrays are empty on total conflict.
+    by their total added in mask order. Both arrays are empty on total
+    conflict.
     """
     of_type(m1, MassFunction, "combined evidence")
     of_type(m2, MassFunction, "combined evidence")
     if m1.frame != m2.frame:
         raise FrameMismatch("cannot combine evidence on different frames")
     _check_pairs(len(m1), len(m2))
-    a, b = _ordered(m1, m2)
-    bits, sums = _kernels.combine_products(a._bits, a._masses, b._bits, b._masses, len(m1.frame))
+    return _pooled((m1._bits, m1._masses), (m2._bits, m2._masses), len(m1.frame))
+
+
+def _pooled(a, b, n_atoms: int):
+    """:func:`_summed` of two (bits, masses) focal sets, in canonical order."""
+    if not _leads(a, b):
+        a, b = b, a
+    bits, sums = _kernels.combine_products(*a, *b, n_atoms)
     conflict = 0.0
     if bits.shape[0] and int(bits[0]) == 0:
         conflict = min(float(sums[0]), 1.0)
         bits, sums = bits[1:], sums[1:]
     keep = sums > 0.0
     sums = sums[keep]
-    return conflict, bits[keep], sums / math.fsum(sums.tolist())
+    return conflict, bits[keep], sums / _kernels.ordered_total(sums)
+
+
+def _support_rows(focus: int, degree: float, full: int):
+    """(bits, masses) of a simple support on ``focus``, as :func:`simple_support` stores them.
+
+    On the whole frame it stores degree + (1 - degree), which rounds to 1.0
+    for every degree in [0, 1]; an entry of mass 0 is dropped.
+    """
+    if focus == full:
+        degree = 1.0
+    rows = [(b, m) for b, m in ((focus, degree), (full, 1.0 - degree)) if m > 0.0]
+    return np.array([b for b, _ in rows], dtype=np.uint64), np.array([m for _, m in rows])
 
 
 def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
@@ -108,13 +136,15 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     set, and :class:`CombinationTooLarge` above ``MAX_PAIRS`` focal pairs.
 
     Every positive product is kept: only products that are exactly 0.0 are
-    dropped. The survivors are scaled by their own exact total rather than
-    by 1 - conflict, so a result always totals 1 to rounding, however near 1
-    the conflict, and error does not compound along a fold. ``conflict`` is
-    the product mass on the empty set as computed from the inputs, clamped
-    at 1; when their totals are off 1 by rounding (they are accepted within
-    ``NORMALIZATION_TOL``) it is not rescaled, and so is off the conflict of
-    exactly normalised inputs by the same order.
+    dropped. The operand with fewer focals comes first, ties broken by the
+    operands' bytes, and each group adds its products in that order. The
+    survivors are scaled by their own total, added in mask order, rather
+    than by 1 - conflict, so a result always totals 1 to rounding, however
+    near 1 the conflict, and error does not compound along a fold.
+    ``conflict`` is the product mass on the empty set as computed from the
+    inputs, clamped at 1; when their totals are off 1 by rounding (they are
+    accepted within ``NORMALIZATION_TOL``) it is not rescaled, and so is off
+    the conflict of exactly normalised inputs by the same order.
     """
     conflict, bits, masses = _summed(m1, m2)
     if not bits.shape[0]:
@@ -144,10 +174,11 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
 
     The accumulators are flat rows, ascending by step and then by mask, as
     :func:`_kernels.support_products` takes and returns them; accumulator k
-    is summed with the support of ``degree[k]`` on ``focus[k]``. Each sum
-    follows ``combine``'s rule: its conflict is the empty intersection's
-    share, clamped at 1, and its positive products on non-empty sets are
-    scaled by their own total; products that are exactly 0.0 are dropped. A
+    is summed with the support of ``degree[k]`` on ``focus[k]``. Each sum is
+    ``combine(accumulator, simple_support(frame, focus[k], degree[k]))``, bit
+    for bit: the support's masses are those :func:`simple_support` stores,
+    the products of each group are added in the order :func:`combine` adds
+    them, and the survivors are scaled by their total added in mask order. A
     sum none of whose products survives is total conflict and keeps no rows,
     so no later support can revive it: total conflict is absorbing.
 
@@ -157,17 +188,30 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     together exceed it, nothing is summed and None is returned, so that the
     caller sums fewer accumulators at a time.
     """
+    full = (1 << n_atoms) - 1
+    if degree.shape[0] == 1:
+        # one sum: combine's own products, without the sorts that group many
+        support = _support_rows(int(focus[0]), float(degree[0]), full)
+        _check_pairs(bits.shape[0], support[0].shape[0])
+        if bits.shape[0] * support[0].shape[0] + held > MAX_PAIRS:
+            return None
+        conflict, bits, masses = _pooled((bits, masses), support, n_atoms)
+        return np.zeros(bits.shape[0], step.dtype), bits, masses, np.array([conflict])
     counts = np.bincount(step, minlength=degree.shape[0])
-    # a support of degree 0 or 1, or on the whole frame, has one focal
-    full = np.uint64((1 << n_atoms) - 1)
-    focals = np.where((degree == 0.0) | (degree == 1.0) | (focus == full), 1, 2)
+    full = np.uint64(full)
+    # a support on the whole frame puts all its mass there (see
+    # _support_rows); one of degree 0 or 1 has one focal
+    degree = np.where(focus == full, 1.0, degree)
+    focals = np.where((degree == 0.0) | (degree == 1.0), 1, 2)
     pairs = counts * focals
     worst = int(np.argmax(pairs))
     _check_pairs(int(counts[worst]), int(focals[worst]))
     if int(pairs.sum()) + held > MAX_PAIRS:
         return None
     step, bits, sums = _kernels.support_products(
-        step, bits, masses, focus, degree, n_atoms
+        step, bits, masses, focus, degree, n_atoms, _accumulator_leads(
+            counts, focals, bits, masses, focus, degree, full
+        )
     )
     empty = bits == 0
     conflict = np.zeros(degree.shape[0])
@@ -176,6 +220,29 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     step, bits, sums = step[live], bits[live], sums[live]
     scaled = sums / np.bincount(step, weights=sums, minlength=degree.shape[0])[step]
     return step, bits, scaled, conflict
+
+
+def _accumulator_leads(counts, focals, bits, masses, focus, degree, full):
+    """First rows of the two-focal accumulators whose products lead their support's.
+
+    :func:`_leads` puts the operand of fewer focals first, so a support
+    leads every accumulator but one of two focals, which leads when its
+    (bits, masses) bytes order no later than the support's.
+    """
+    pair = np.flatnonzero((counts == 2) & (focals == 2))
+    if not pair.shape[0]:
+        return pair
+    first = (np.cumsum(counts) - counts)[pair]
+    ours = (bits[first], bits[first + 1], masses[first], masses[first + 1])
+    theirs = (focus[pair], np.full(pair.shape[0], full), degree[pair], 1.0 - degree[pair])
+    # bytes compare as big-endian numbers do
+    before = np.zeros(pair.shape[0], dtype=bool)
+    tied = np.ones(pair.shape[0], dtype=bool)
+    for a, b in zip(ours, theirs):
+        a, b = a.view(">u8"), b.view(">u8")
+        before |= tied & (a < b)
+        tied &= a == b
+    return first[before | tied]
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationReport:

@@ -183,11 +183,28 @@ def _singleton_bounds(
 
 
 def _intervals(bel: np.ndarray, pl: np.ndarray) -> list[list[EvidentialInterval]]:
-    """The validated interval of each cell of (steps, atoms) bounds, per step."""
-    return [
-        [EvidentialInterval(b, p) for b, p in zip(bs, ps)]
-        for bs, ps in zip(bel.tolist(), pl.tolist())
-    ]
+    """The interval of each cell of (steps, atoms) bounds, per step.
+
+    The block is checked once, as arrays: every cell must have
+    0 <= bel <= pl <= 1, which no NaN or infinity meets. A block that passes
+    is built without the per-cell check of an :class:`EvidentialInterval` a
+    caller builds; any other is built cell by cell, so that its first bad
+    cell raises that check's :class:`InvalidInterval`.
+    """
+    rows = zip(bel.tolist(), pl.tolist())
+    if not ((0.0 <= bel) & (bel <= pl) & (pl <= 1.0)).all():
+        return [[EvidentialInterval(b, p) for b, p in zip(bs, ps)] for bs, ps in rows]
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for bs, ps in rows:
+        cells = []
+        for b, p in zip(bs, ps):
+            cell = new(EvidentialInterval)
+            put(cell, "support", b)
+            put(cell, "plausibility", p)
+            cells.append(cell)
+        out.append(cells)
+    return out
 
 
 def mass_new(frame: Frame, entries: Iterable[tuple[Proposition, float]]) -> MassFunction:

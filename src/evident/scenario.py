@@ -11,9 +11,14 @@ How a window is fused depends on the scenario's discount rate alone:
   kept as a two-stacks sliding-window aggregate (Tangwongsan, Hirzel and
   Schneider, "General Incremental Sliding-Window Aggregation", VLDB 2015).
   Dempster's rule is associative but has no inverse, so a leaving report
-  cannot be subtracted from a running sum; the two stacks need neither, and
-  take a few combines per step instead of a refold of the whole window.
-  Until a report leaves, the window is the plain left fold of its reports.
+  cannot be subtracted from a running sum; the two stacks need neither. A
+  window is the sum of a front, a suffix of the reports that were in the
+  window when its low end last passed the split, and a back, the reports
+  since. Which reports each holds follows from the window bounds alone, so
+  the prefix sums of every back and the suffix sums of every front fold in
+  lockstep, one vectorised call a round, and a step takes one pairwise
+  combine of its front and back. Until a report leaves, the window is the
+  plain left fold of its reports.
 - Below rate 1 every support ages between steps, and discounting does not
   distribute over the orthogonal sum, so every step folds its own window, at
   the degrees its reports have aged to. The steps fold in lockstep, a block
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
@@ -41,7 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from ._jsonutil import number, of_type, parse_document, require
-from .combine import _CONTRADICTED, _Aggregate, _sum, _sum_supports
+from .combine import _CONTRADICTED, _Aggregate, _sum, _sum_supports, _support_rows
 from .decide import DecisionStatus, _check_outcome, _decide_block
 from .errors import (
     DegreeOutOfRange,
@@ -56,7 +62,7 @@ from .errors import (
     UnsortedReports,
 )
 from .frames import EvidentialInterval, Frame, Proposition
-from .masses import MassFunction, simple_support, vacuous
+from .masses import MassFunction, vacuous
 
 # slack of the step grid, so t0 + k*step lands on the last report and on a
 # window's edges
@@ -235,57 +241,209 @@ def _window_bounds(scenario: Scenario, steps: int):
         yield t, lo, bisect_right(times, t + _GRID_EPS)
 
 
-class _TwoStacks:
-    """The orthogonal sum of a sliding window of supports.
+def _splits(scenario: Scenario, steps: int):
+    """(t, lo, b, hi) per grid step: the window ``reports[lo:hi]`` split at ``b``.
 
-    Supports enter at the back, whose running sum is their left fold. When
-    the oldest must leave and the front is empty, the back moves to the
-    front as suffix sums, one combine each, so every support takes part in
-    O(1) combines while it is in the window. Front and back sums are only
-    combined with each other when both are non-empty.
+    These are the two stacks' front ``[lo, b)`` and back ``[b, hi)``. Reports
+    enter at the back; the split stays put until the window's low end passes
+    it, when the two stacks move the whole back to the front: b becomes the
+    window's high end before the step, or its low end past a gap.
+    """
+    b = hi = 0
+    for t, lo, new_hi in _window_bounds(scenario, steps):
+        if lo > b:
+            b = max(lo, hi)
+        hi = new_hi
+        yield t, lo, b, hi
+
+
+class _Chain:
+    """One stack's running sum from split b, folded a report a round.
+
+    A back chain sums reports b, b+1, ... in order and a front chain b-1,
+    b-2, ..., each from its first report's support, as the two stacks sum
+    them. ``sums`` keeps its aggregate at each length a step needs. While
+    later steps of its split may still be read, a front chain also keeps
+    every length below ``open_below``: those steps need shorter suffixes,
+    not yet known, that it may have passed.
     """
 
-    def __init__(self) -> None:
-        self._front: list[_Aggregate] = []  # suffix sums; the last starts at the oldest
-        self._back: list[MassFunction] = []
-        self._back_sum: _Aggregate | None = None
+    __slots__ = ("first", "sign", "length", "target", "bits", "masses", "retained",
+                 "sums", "rows", "wanted", "open_below")
 
-    def push(self, support: MassFunction) -> None:
-        item = (support, 1.0)
-        self._back_sum = item if self._back_sum is None else _sum(self._back_sum, item)
-        self._back.append(support)
+    def __init__(self, b: int, sign: int):
+        self.first = b if sign > 0 else b - 1
+        self.sign = sign
+        self.length = self.target = self.open_below = 0
+        self.rows = 0  # of the sums kept
+        self.bits = self.masses = None
+        self.retained = 1.0
+        self.sums: dict[int, _Aggregate] = {}
+        self.wanted: set[int] = set()
 
-    def evict(self, count: int) -> None:
-        """Drop the ``count`` oldest supports."""
-        while count and self._front:
-            self._front.pop()
-            count -= 1
-        if count:
-            acc = None
-            for support in reversed(self._back[count:]):
-                acc = (support, 1.0) if acc is None else _sum((support, 1.0), acc)
-                self._front.append(acc)
-            self._back = []
-            self._back_sum = None
 
-    def total(self) -> _Aggregate | None:
-        """The window's sum; None when it holds no support."""
-        if self._front and self._back_sum is not None:
-            return _sum(self._front[-1], self._back_sum)
-        return self._front[-1] if self._front else self._back_sum
+class _Lockstep:
+    """The chains the waiting steps of a rate-1 replay need, folded in lockstep."""
+
+    def __init__(self, scenario: Scenario):
+        self.frame = scenario.frame
+        self.reports = scenario.reports
+        self.chains: dict[tuple[int, int], _Chain] = {}
+        self.held = 0  # rows of the sums the chains keep
+        self.last_b = 0  # the split of the last step read
+
+    def ahead(self, b: int) -> int:
+        """Rows held beyond the front sums of split ``b``, which the pairwise
+        two stacks hold as well: what reading and folding ahead hold."""
+        front = self.chains.get((b, -1))
+        return self.held - (front.rows if front else 0)
+
+    def parts(self, lo: int, b: int, hi: int):
+        """(chain, length) of the front and the back of the window at a split."""
+        return (self.chains.get((b, -1)), b - lo), (self.chains.get((b, 1)), hi - b)
+
+    def need(self, lo: int, b: int, hi: int) -> None:
+        """Register a step read: its front and back sums must be kept.
+
+        Steps are read in order, so no step read later has the split of the
+        last step read if this one's differs: that front is no longer open.
+        """
+        if b != self.last_b and (self.last_b, -1) in self.chains:
+            self.chains[self.last_b, -1].open_below = 0
+        self.last_b = b
+        for sign, length in ((-1, b - lo), (1, hi - b)):
+            if length:
+                chain = self.chains.get((b, sign))
+                if chain is None:
+                    chain = self.chains[b, sign] = _Chain(b, sign)
+                chain.target = max(chain.target, length)
+                chain.wanted.add(length)
+                if sign < 0:
+                    chain.open_below = length
+
+    def ready(self, lo: int, b: int, hi: int) -> bool:
+        return all(not n or n in chain.sums for chain, n in self.parts(lo, b, hi))
+
+    def window(self, lo: int, b: int, hi: int, last: bool) -> _Aggregate | None:
+        """The window's aggregate, None when empty; the sums later steps need stay.
+
+        Fronts shrink and backs grow from step to step, so a later step of
+        the split needs no longer front and no shorter back; after the
+        ``last`` step of its split, neither chain is needed.
+        """
+        (front, n_front), (back, n_back) = self.parts(lo, b, hi)
+        aggs = [chain.sums[n] for chain, n in ((front, n_front), (back, n_back)) if n]
+        for chain, stale in ((front, n_front.__lt__), (back, n_back.__gt__)):
+            for n in [n for n in chain.sums if last or stale(n)] if chain else ():
+                mass = chain.sums.pop(n)[0]
+                rows = 0 if mass is None else len(mass)
+                chain.rows -= rows
+                self.held -= rows
+        if last:
+            self.chains.pop((b, -1), None)
+            self.chains.pop((b, 1), None)
+        if len(aggs) == 2:
+            return _sum(*aggs)
+        return aggs[0] if aggs else None
+
+    def advance(self, head: tuple) -> None:
+        """Fold one round: every chain short of its target, or once the sums
+        held ahead of the ``head`` step reach ``_BLOCK_FOCALS`` only those it
+        waits for."""
+        if self.ahead(head[1]) < _BLOCK_FOCALS:
+            active = [c for c in self.chains.values() if c.length < c.target]
+        else:
+            active = [c for c, n in self.parts(*head) if n and c.length < n]
+        if not active:
+            raise AssertionError("a waiting step has no chain left to fold")
+        full = self.frame._full_bits
+        for chain in active:
+            if not chain.length:
+                r = self.reports[chain.first]
+                chain.bits, chain.masses = _support_rows(r.focus.bits, r.degree, full)
+                chain.length = 1
+                self.keep(chain)
+        folding = [c for c in active if c.length < c.target]
+        if folding and not self.fold(folding, self.held):
+            for chain in folding:
+                self.fold([chain], 0)
+
+    def fold(self, folding: list[_Chain], held: int) -> bool:
+        """Sum each chain with its next report; False, summing none, when
+        ``combine._sum_supports`` finds the round over the pair cap."""
+        picked = [self.reports[c.first + c.sign * c.length] for c in folding]
+        ids = np.arange(len(folding), dtype=np.int16 if len(folding) < 1 << 15 else np.intp)
+        summed = _sum_supports(
+            np.repeat(ids, [c.bits.shape[0] for c in folding]),
+            np.concatenate([c.bits for c in folding]),
+            np.concatenate([c.masses for c in folding]),
+            np.array([r.focus.bits for r in picked], dtype=np.uint64),
+            np.array([r.degree for r in picked]),
+            len(self.frame), held,
+        )
+        if summed is None:
+            return False
+        step, bits, masses, conflict = summed
+        cuts = np.searchsorted(step, np.arange(len(folding) + 1)).tolist()
+        for chain, a, b, c in zip(folding, cuts, cuts[1:], conflict.tolist()):
+            chain.bits, chain.masses = bits[a:b], masses[a:b]
+            chain.retained *= 1.0 - c
+            chain.length += 1
+            self.keep(chain)
+        return True
+
+    def keep(self, chain: _Chain) -> None:
+        """Keep the chain's aggregate at its length if a step may need it."""
+        if chain.length in chain.wanted or chain.length < chain.open_below:
+            rows = chain.bits.shape[0]
+            aggregate = _CONTRADICTED
+            if rows:
+                # copies, which the chain goes on from, so that neither the sum
+                # nor the chain holds the round's rows of other chains
+                chain.bits, chain.masses = chain.bits.copy(), chain.masses.copy()
+                mass = MassFunction._from_arrays(self.frame, chain.bits, chain.masses)
+                aggregate = (mass, chain.retained)
+            chain.sums[chain.length] = aggregate
+            chain.rows += rows
+            self.held += rows
 
 
 def _fresh_windows(scenario: Scenario, steps: int):
-    """(t, window aggregate or None when empty) per step at discount rate 1."""
-    frame = scenario.frame
-    window = _TwoStacks()
-    lo = hi = 0
-    for t, new_lo, new_hi in _window_bounds(scenario, steps):
-        window.evict(min(new_lo, hi) - lo)
-        for r in scenario.reports[max(new_lo, hi):new_hi]:
-            window.push(simple_support(frame, r.focus, r.degree))
-        lo, hi = new_lo, new_hi
-        yield t, window.total()
+    """(t, window aggregate or None when empty) per step at discount rate 1.
+
+    The window is the two stacks' sum of its front and its back (see
+    :func:`_splits`). Every chain of prefix or suffix sums that the steps
+    read so far need folds in lockstep: each round sums every such chain with
+    its next report, in one :func:`combine._sum_supports` call, and a chain
+    carries its state from round to round, so it sums each of its reports
+    once. A step is yielded once its two sums are there, as one
+    ``_sum(front, back)``. Steps are read ahead while the rows of the sums
+    held and the reports in the backs of the waiting steps come to under
+    ``_BLOCK_FOCALS``; once the sums held reach it, only the chains of the
+    first waiting step fold. Neither counts the front sums of the first
+    waiting step, which the pairwise two stacks hold too, so memory stays
+    flat in the length of the grid. A round above ``combine.MAX_PAIRS``
+    folds its chains one at a time.
+    """
+    lockstep = _Lockstep(scenario)
+    splits = _splits(scenario, steps)
+    waiting: deque = deque()
+    queued = 0  # reports in the backs of the waiting steps
+    split = next(splits, None)
+    while split or waiting:
+        while split and (not waiting or lockstep.ahead(waiting[0][2]) + queued < _BLOCK_FOCALS):
+            t, lo, b, hi = split
+            lockstep.need(lo, b, hi)
+            waiting.append(split)
+            queued += hi - b
+            split = next(splits, None)
+        while waiting and lockstep.ready(*waiting[0][1:]):
+            t, lo, b, hi = waiting.popleft()
+            queued -= hi - b
+            later = waiting[0] if waiting else split
+            yield t, lockstep.window(lo, b, hi, later is None or later[2] != b)
+        if waiting:
+            lockstep.advance(waiting[0][1:])
 
 
 def _aged_windows(scenario: Scenario, steps: int):

@@ -4,7 +4,9 @@ Everything here works on frozensets of atom names (or exact rationals),
 never on the package's bitmask/array representation, so each check is an
 independent route to the same value. The exceptions are
 :func:`grouped_products_oracle`, which pins a kernel's exact output arrays,
-and :func:`decide_oracle`, the decision rule as a loop over the atoms.
+:func:`decide_oracle`, the decision rule as a loop over the atoms, and
+:class:`TwoStacks`, the rate-1 replay's window sums one pairwise combine at a
+time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from evident import (
     Implies,
     MassFunction,
     Or,
+    simple_support,
 )
+from evident.combine import _sum
 from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
 
 
@@ -139,6 +143,63 @@ def decide_oracle(report: CombinationReport, threshold: float = 0.95):
     dominant = all(best.support > iv.plausibility for _, iv in rivals)
     status = DecisionStatus.DECIDED if dominant else DecisionStatus.LEANING
     return status, None, best_atom, ranking
+
+
+class TwoStacks:
+    """The orthogonal sum of a sliding window of supports, one combine at a time.
+
+    A two-stacks sliding-window aggregate (Tangwongsan, Hirzel and Schneider,
+    VLDB 2015). Supports enter at the back, whose running sum is their left
+    fold. When the oldest must leave and the front is empty, the back moves
+    to the front as suffix sums, one combine each. Front and back sums are
+    only combined with each other when both are non-empty. An aggregate is a
+    (mass function or None on total conflict, retained mass) pair.
+    """
+
+    def __init__(self) -> None:
+        self._front: list = []  # suffix sums; the last starts at the oldest
+        self._back: list[MassFunction] = []
+        self._back_sum = None
+
+    def push(self, support: MassFunction) -> None:
+        item = (support, 1.0)
+        self._back_sum = item if self._back_sum is None else _sum(self._back_sum, item)
+        self._back.append(support)
+
+    def evict(self, count: int) -> None:
+        """Drop the ``count`` oldest supports."""
+        while count and self._front:
+            self._front.pop()
+            count -= 1
+        if count:
+            acc = None
+            for support in reversed(self._back[count:]):
+                acc = (support, 1.0) if acc is None else _sum((support, 1.0), acc)
+                self._front.append(acc)
+            self._back = []
+            self._back_sum = None
+
+    def total(self):
+        """The window's sum; None when it holds no support."""
+        if self._front and self._back_sum is not None:
+            return _sum(self._front[-1], self._back_sum)
+        return self._front[-1] if self._front else self._back_sum
+
+
+def two_stacks_windows(scenario, bounds):
+    """(t, window aggregate or None when empty) per (t, lo, hi) of ``bounds``.
+
+    The rate-1 replay's windows, each report a :func:`simple_support` pushed
+    once and evicted once.
+    """
+    window = TwoStacks()
+    lo = hi = 0
+    for t, new_lo, new_hi in bounds:
+        window.evict(min(new_lo, hi) - lo)
+        for r in scenario.reports[max(new_lo, hi):new_hi]:
+            window.push(simple_support(scenario.frame, r.focus, r.degree))
+        lo, hi = new_lo, new_hi
+        yield t, window.total()
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 6) -> MassFunction:

@@ -81,6 +81,12 @@ class TestRun:
         out = capsys.readouterr().out
         assert out == (DATA / "lake_tower_golden.csv").read_text()
 
+    def test_aged_scenario_through_python_m_evident(self):
+        # the aged replay, end to end: lake_tower.json at discount rate 0.9
+        proc = _python("-m", "evident", "run", str(DATA / "lake_tower_aged.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / "lake_tower_aged_golden.csv").read_text()
+
     def test_trace_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"
         assert main(["run", str(DATA / "lake_tower.json"), "--out", str(out_path)]) == 0

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evident import (
@@ -404,6 +404,109 @@ class TestExactSum:
         )
         assert conflict.tolist() == [1.0]
         assert (step.tolist(), bits.tolist(), scaled.tolist()) == ([0], [0b010], [1.0])
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def lockstep_blocks(draw):
+    """A frame of 1 to 64 atoms, accumulators on it, and a support for each.
+
+    An accumulator is contradicted (no rows), a simple support (so some are
+    the support they are summed with), or up to six random focals, and most
+    hold one or two; foci and masks favour the top atom and the whole frame,
+    and degrees 0 and 1.
+    """
+    n_atoms = draw(st.integers(1, 64))
+    frame = Frame([f"a{i:02d}" for i in range(n_atoms)])
+    full = (1 << n_atoms) - 1
+    top = 1 << (n_atoms - 1)
+    masks = st.sampled_from([full, top, top | 1]) | st.integers(1, full)
+    # two-decimal degrees round their products, so their order shows
+    degrees = (
+        st.sampled_from([0.0, 1.0, 0.5])
+        | st.integers(1, 99).map(lambda k: k / 100)
+        | st.floats(0.0, 1.0)
+    )
+    accumulators, focus, degree = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        focus.append(draw(masks))
+        degree.append(draw(degrees))
+        kind = draw(st.sampled_from(["contradicted", "support", "random"]))
+        if kind == "contradicted":
+            accumulators.append(None)
+        elif kind == "support":
+            # on the support's own focus, three products meet on it, and
+            # their order shows in the last bit
+            mask = draw(st.just(focus[-1]) | masks)
+            accumulators.append(simple_support(frame, frame.from_bits(mask), draw(degrees)))
+        else:
+            bits = draw(st.lists(masks, min_size=1, max_size=6, unique=True))
+            weights = [draw(st.floats(0.01, 1.0)) for _ in bits]
+            total = math.fsum(weights)
+            accumulators.append(
+                mass_new(frame, [(frame.from_bits(b), w / total) for b, w in zip(bits, weights)])
+            )
+    if draw(st.booleans()):
+        # the same support for every accumulator, as a block's round never has
+        focus, degree = focus[:1] * len(focus), degree[:1] * len(degree)
+    return frame, accumulators, focus, degree
+
+
+class TestLockstepSum:
+    """``_sum_supports`` is ``combine`` with a simple support, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lockstep_blocks())
+    @example(
+        # the accumulator leads, and its support meets it on {lake} three times
+        (Frame(["lake", "tower"]), [simple_support(Frame(["lake", "tower"]),
+         Frame(["lake", "tower"]).proposition(["lake"]), 0.01)], [0b01], [0.04])
+    )
+    def test_each_sum_is_combine_with_the_support(self, block):
+        frame, accumulators, focus, degree = block
+        live = [m for m in accumulators if m is not None]
+        step = np.repeat(
+            np.arange(len(accumulators), dtype=np.int16),
+            [0 if m is None else len(m) for m in accumulators],
+        )
+        bits = np.concatenate([m._bits for m in live] or [np.zeros(0, np.uint64)])
+        masses = np.concatenate([m._masses for m in live] or [np.zeros(0)])
+        got_step, got_bits, got_masses, got_conflict = combine_module._sum_supports(
+            step, bits, masses, np.array(focus, np.uint64), np.array(degree), len(frame), 0
+        )
+        for k, acc in enumerate(accumulators):
+            mine = got_step == k
+            if acc is None:
+                want = (0.0, [], [])
+            else:
+                support = simple_support(frame, frame.from_bits(focus[k]), degree[k])
+                conflict, want_bits, want_masses = combine_module._summed(acc, support)
+                want = (conflict, want_bits.tolist(), _hex(want_masses))
+            got = (float(got_conflict[k]), got_bits[mine].tolist(), _hex(got_masses[mine]))
+            assert got[0].hex() == want[0].hex()
+            assert got[1:] == want[1:]
+
+    def test_cases_cover_the_two_focal_orders(self):
+        # a two-focal accumulator leads its support when its bytes order
+        # first, and follows it otherwise; both orders must occur
+        frame = Frame(["lake", "tower", "ridge"])
+        lake, tower = frame.proposition(["lake"]), frame.proposition(["tower"])
+        acc = simple_support(frame, lake, 0.4)
+        def first(m1, m2):
+            return combine_module._leads((m1._bits, m1._masses), (m2._bits, m2._masses))
+
+        for support in (simple_support(frame, tower, 0.3), simple_support(frame, lake, 0.9)):
+            leads = combine_module._accumulator_leads(
+                np.array([2]), np.array([2]), acc._bits, acc._masses,
+                np.array([support._bits[0]]), np.array([support._masses[0]]),
+                np.uint64(frame._full_bits),
+            )
+            assert first(acc, support) == (leads.tolist() == [0])
+        supports = [simple_support(frame, f, 0.3) for f in (lake, tower)]
+        assert {first(acc, m) for m in supports} == {True, False}
 
 
 combine_module = importlib.import_module("evident.combine")

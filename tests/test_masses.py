@@ -10,6 +10,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,11 +25,13 @@ from evident import (
     simple_support,
     vacuous,
 )
+from evident import masses as masses_module
 from evident.errors import (
     DegreeOutOfRange,
     EmptyFocus,
     EvidentError,
     FrameMismatch,
+    InvalidInterval,
     MassOnEmptySet,
     MissingAtom,
     NegativeMass,
@@ -310,6 +313,23 @@ class TestIntervalType:
     def test_unpacks(self):
         support, plausibility = EvidentialInterval(0.2, 0.7)
         assert (support, plausibility) == (0.2, 0.7)
+
+    def test_a_block_is_checked_once_and_refused_at_its_first_bad_cell(self):
+        # the package's own bounds skip the per-cell check only when the
+        # whole block passes as arrays; otherwise the cell's check raises
+        bel = np.array([[0.0, 0.25], [1.0, 0.5]])
+        pl = np.array([[1.0, 0.5], [1.0, 0.5]])
+        built = masses_module._intervals(bel, pl)
+        assert built == [
+            [EvidentialInterval(0.0, 1.0), EvidentialInterval(0.25, 0.5)],
+            [EvidentialInterval(1.0, 1.0), EvidentialInterval(0.5, 0.5)],
+        ]
+        assert {type(cell) for row in built for cell in row} == {EvidentialInterval}
+        for bad in [(0.5, 0.25), (-0.0625, 0.5), (0.25, 1.5), (math.nan, 0.5), (0.25, math.inf)]:
+            cells_bel, cells_pl = bel.copy(), pl.copy()
+            cells_bel[1, 1], cells_pl[1, 1] = bad
+            with pytest.raises(InvalidInterval):
+                masses_module._intervals(cells_bel, cells_pl)
 
 
 def test_equality_and_allclose(lt_frame):

@@ -53,11 +53,19 @@ from evident.errors import (
 from perfbench import gen
 
 from .conftest import ATOM_POOL
-from .oracles import bel_oracle, decide_oracle, focal_map, fold_products, pl_oracle
+from .oracles import (
+    bel_oracle,
+    decide_oracle,
+    focal_map,
+    fold_products,
+    pl_oracle,
+    two_stacks_windows,
+)
 
 DATA = Path(__file__).parent / "data"
 
 combine_module = importlib.import_module("evident.combine")
+masses_module = importlib.import_module("evident.masses")
 
 
 def scenario_from(frame_atoms, report_tuples, **params) -> Scenario:
@@ -542,6 +550,37 @@ AGED_CASES = {
 }
 
 
+def _repeating_stream(steps: int, rate: float) -> Scenario:
+    """A 0.5-s stream on 16 atoms that repeats one focus per report of its
+    40-report window, so every full window holds the same evidence."""
+    frame = Frame([f"a{i:02d}" for i in range(16)])
+    rng = random.Random(0)
+    foci = [
+        frame.from_bits(
+            (rng.random() < 0.8) | sum(1 << a for a in rng.sample(range(1, 16), rng.randint(1, 4)))
+        )
+        for _ in range(40)
+    ]
+    reports = tuple(
+        SensorReport(f"s{i % 10}", i * 0.5, foci[i % 40], 0.05 + 0.05 * (i % 11))
+        for i in range(2 * steps - 1)
+    )
+    return Scenario(frame, reports, window=20.0, step=1.0, discount_rate=rate)
+
+
+def _peak_above_rows(scenario: Scenario) -> int:
+    """Bytes a replay holds at its peak besides its rows, which grow with the
+    grid by construction (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        rows = run_scenario(scenario)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == round(scenario.reports[-1].time) + 1
+    return peak - current
+
+
 class TestReplayProperties:
     @given(report_streams())
     @example(_clash_then_calm())
@@ -579,7 +618,7 @@ class TestReplayProperties:
 
         scenario = AGED_CASES["grid-across-block-seams"]()
         want = emit_trace(run_scenario(scenario))
-        monkeypatch.setattr(scenario_module, "simple_support", refuse)
+        monkeypatch.setattr(masses_module, "simple_support", refuse)
         monkeypatch.setattr(combine_module, "combine", refuse)
         assert emit_trace(run_scenario(scenario)) == want
 
@@ -640,40 +679,9 @@ class TestReplayProperties:
         assert sizes.count(scenario_module._BLOCK_STEPS) > 1 and 1 in sizes
 
     def test_aged_memory_is_flat_in_grid_length(self):
-        # one focus per report of the 40-report window, so every full window
-        # holds the same evidence and every block folds alike
-        frame = Frame([f"a{i:02d}" for i in range(16)])
-        rng = random.Random(0)
-        foci = [
-            frame.from_bits(
-                (rng.random() < 0.8)
-                | sum(1 << a for a in rng.sample(range(1, 16), rng.randint(1, 4)))
-            )
-            for _ in range(40)
-        ]
-
-        def stream(steps):
-            reports = tuple(
-                SensorReport(f"s{i % 10}", i * 0.5, foci[i % 40], 0.05 + 0.05 * (i % 11))
-                for i in range(2 * steps - 1)
-            )
-            return Scenario(frame, reports, window=20.0, step=1.0, discount_rate=0.99)
-
-        def peak_above_rows(scenario):
-            # the rows grow with the grid by construction; what the fold
-            # holds besides them must not
-            tracemalloc.start()
-            try:
-                rows = run_scenario(scenario)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert len(rows) == round(scenario.reports[-1].time) + 1
-            return peak - current
-
-        short, long = stream(200), stream(2000)
+        short, long = _repeating_stream(200, 0.99), _repeating_stream(2000, 0.99)
         run_scenario(short)
-        assert peak_above_rows(long) <= 1.25 * peak_above_rows(short)
+        assert _peak_above_rows(long) <= 1.25 * _peak_above_rows(short)
 
     def test_fresh_memory_holds_a_block_of_focals_not_of_steps(self, monkeypatch):
         # foci that each miss a different one of 64 atoms, 12 to a window:
@@ -869,6 +877,147 @@ class TestFoldGrouping:
                 assert abs(interval.plausibility - pl_oracle(want, singleton)) <= bound
             assert abs(row.cumulative_conflict - (1.0 - retained)) <= bound
         assert least_retained < 1e-30
+
+
+def _aggregate_hex(aggregate):
+    """A window aggregate with every float as hex, so equality is bit for bit."""
+    if aggregate is None:
+        return None
+    mass, retained = aggregate
+    if mass is None:
+        return "contradicted", retained.hex()
+    return mass._bits.tolist(), [m.hex() for m in mass._masses.tolist()], retained.hex()
+
+
+def assert_matches_two_stacks(scenario: Scenario) -> None:
+    """The rate-1 lockstep's window sums equal the pairwise two stacks' bit for bit."""
+    steps = scenario_module._grid_steps(scenario)
+    got = list(scenario_module._fresh_windows(scenario, steps))
+    want = list(two_stacks_windows(scenario, scenario_module._window_bounds(scenario, steps)))
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
+
+
+def _fresh_seed(seed: int, window: float = 20.0) -> Scenario:
+    rng = random.Random(f"replay-fresh:{seed}")
+    return load_scenario(gen.dumps(gen.replay_scenario(rng, discount_rate=1.0, window=window)))
+
+
+def _gaps_wider_than_the_window() -> Scenario:
+    reports = [("eo", 0.5 * k, [("lake", "tower")[k % 2]], 0.1 + 0.05 * k) for k in range(12)]
+    reports += [("ir", 40 + 0.5 * k, ["ridge"], 0.3) for k in range(6)]
+    reports += [("radar", 90.0, ["lake", "ridge"], 0.6)]
+    return scenario_from(["lake", "tower", "ridge"], reports, window=3.0, step=1.0)
+
+
+def _every_report_at_one_time() -> Scenario:
+    atoms = ["lake", "tower", "ridge", "clear"]
+    reports = [
+        (f"s{k:02d}", 7.0, [atoms[k % 4], atoms[(k + 1) % 4]], (k % 21) / 20)
+        for k in range(30)
+    ]
+    return scenario_from(atoms, reports, window=5.0, step=1.0)
+
+
+FRESH_CASES = {
+    "lake-tower": lambda: load_scenario((DATA / "lake_tower.json").read_text()),
+    "lake-tower-window-spanning-the-stream": lambda: dataclasses.replace(
+        load_scenario((DATA / "lake_tower.json").read_text()), window=1000.0
+    ),
+    "gaps-wider-than-the-window": _gaps_wider_than_the_window,
+    "every-report-at-one-time": _every_report_at_one_time,
+    "window-narrower-than-the-step": lambda: aged_stream(8, 5, 120, 0.25, 0.3, 1.0),
+    "window-spanning-the-stream": lambda: _fresh_seed(1, window=1000.0),
+    "whole-frame-foci": lambda: aged_stream(
+        5, 3, 80, 0.5, 8.0, 1.0, focus=_whole_frame_every_fourth
+    ),
+    "64-atoms-foci-on-bit-63": lambda: aged_stream(4, 64, 160, 0.5, 10.0, 1.0, focus=_on_bit_63),
+    "halves-on-disjoint-atoms": _halves_on_disjoint_atoms,
+}
+
+
+class TestRateOneLockstep:
+    """At rate 1 the chains of the two stacks fold in lockstep, and each window
+    is the pairwise two stacks' sum, bit for bit."""
+
+    @pytest.mark.parametrize("make", FRESH_CASES.values(), ids=FRESH_CASES.keys())
+    def test_named_streams_match_the_pairwise_two_stacks(self, make):
+        assert_matches_two_stacks(make())
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_benchmark_streams_match_the_pairwise_two_stacks(self, seed):
+        assert_matches_two_stacks(_fresh_seed(seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_streams())
+    def test_drawn_streams_match_the_pairwise_two_stacks(self, scenario):
+        assert_matches_two_stacks(dataclasses.replace(scenario, discount_rate=1.0))
+
+    def test_named_streams_cover_what_they_name(self):
+        spanning = FRESH_CASES["window-spanning-the-stream"]()
+        steps = scenario_module._grid_steps(spanning)
+        splits = list(scenario_module._splits(spanning, steps))
+        # every window starts at the first report, so nothing ever leaves
+        assert {(lo, b) for _, lo, b, _ in splits} == {(0, 0)} and splits[-1][3] > 390
+        narrow = FRESH_CASES["window-narrower-than-the-step"]()
+        assert narrow.window < narrow.step
+        gaps = [
+            hi for _, lo, _, hi in scenario_module._splits(
+                FRESH_CASES["gaps-wider-than-the-window"](), 91
+            ) if lo == hi
+        ]
+        assert gaps
+        one_time = FRESH_CASES["every-report-at-one-time"]()
+        assert len({r.time for r in one_time.reports}) == 1
+        assert any(r.degree in (0.0, 1.0) for r in one_time.reports)
+        seeded = _fresh_seed(1)
+        flips = {b for _, _, b, _ in scenario_module._splits(seeded, 200)}
+        assert len(flips) > 5
+
+    def test_calls_no_simple_support_and_one_pairwise_sum_per_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the rate-1 replay builds no supports")
+
+        scenario = _fresh_seed(2)
+        want = emit_trace(run_scenario(scenario))
+        sums = []
+        pairwise = scenario_module._sum
+
+        def spy(a, b):
+            sums.append(1)
+            return pairwise(a, b)
+
+        monkeypatch.setattr(masses_module, "simple_support", refuse)
+        monkeypatch.setattr(combine_module, "combine", refuse)
+        monkeypatch.setattr(scenario_module, "_sum", spy)
+        rows = run_scenario(scenario)
+        assert emit_trace(rows) == want
+        assert 0 < len(sums) <= len(rows)
+
+    def test_a_round_over_the_pair_cap_folds_its_chains_one_at_a_time(self, monkeypatch):
+        scenario = aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5)
+        want = emit_trace(run_scenario(scenario))
+        calls = []
+        sum_supports = scenario_module._sum_supports
+
+        def spy(step, bits, masses, focus, degree, *rest):
+            summed = sum_supports(step, bits, masses, focus, degree, *rest)
+            calls.append((degree.shape[0], summed is None))
+            return summed
+
+        monkeypatch.setattr(scenario_module, "_sum_supports", spy)
+        # no one sum on 4 atoms pairs more (15 by 15 focals), but a round of
+        # many chains does
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", 225)
+        assert emit_trace(run_scenario(scenario)) == want
+        refused = [i for i, (_, over) in enumerate(calls) if over]
+        assert refused and all(calls[i + 1] == (1, False) for i in refused)
+
+    def test_memory_is_flat_in_grid_length(self):
+        # the two stacks flip every 20 steps of this stream
+        short, long = _repeating_stream(200, 1.0), _repeating_stream(2000, 1.0)
+        run_scenario(short)
+        assert _peak_above_rows(long) <= 1.25 * _peak_above_rows(short)
 
 
 def rows_against_decide(scenario: Scenario) -> None:
