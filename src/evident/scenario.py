@@ -298,6 +298,21 @@ class _Lockstep:
         front = self.chains.get((b, -1))
         return self.held - (front.rows if front else 0)
 
+    def reads_on(self, waiting: deque, queued: int) -> bool:
+        """Whether to read a step past the ``waiting`` ones.
+
+        Reading on pays only while the last step read still waits for a
+        chain to fold, so that the next may fold beside it. The chains stay
+        within a block's steps, and the rows held ahead of the first waiting
+        step plus the ``queued`` steps and their reports within
+        ``_BLOCK_FOCALS``.
+        """
+        return (
+            not self.ready(*waiting[-1][1:])
+            and len(self.chains) < _BLOCK_STEPS
+            and self.ahead(waiting[0][2]) + queued < _BLOCK_FOCALS
+        )
+
     def parts(self, lo: int, b: int, hi: int):
         """(chain, length) of the front and the back of the window at a split."""
         return (self.chains.get((b, -1)), b - lo), (self.chains.get((b, 1)), hi - b)
@@ -322,7 +337,12 @@ class _Lockstep:
                     chain.open_below = length
 
     def ready(self, lo: int, b: int, hi: int) -> bool:
-        return all(not n or n in chain.sums for chain, n in self.parts(lo, b, hi))
+        """Whether the window's front and back sums are kept (need() made
+        the chains of both parts that hold reports)."""
+        chains = self.chains
+        return (b == lo or b - lo in chains[b, -1].sums) and (
+            hi == b or hi - b in chains[b, 1].sums
+        )
 
     def window(self, lo: int, b: int, hi: int, last: bool) -> _Aggregate | None:
         """The window's aggregate, None when empty; the sums later steps need stay.
@@ -417,29 +437,35 @@ def _fresh_windows(scenario: Scenario, steps: int):
     its next report, in one :func:`combine._sum_supports` call, and a chain
     carries its state from round to round, so it sums each of its reports
     once. A step is yielded once its two sums are there, as one
-    ``_sum(front, back)``. Steps are read ahead while the rows of the sums
-    held and the reports in the backs of the waiting steps come to under
-    ``_BLOCK_FOCALS``; once the sums held reach it, only the chains of the
-    first waiting step fold. Neither counts the front sums of the first
-    waiting step, which the pairwise two stacks hold too, so memory stays
-    flat in the length of the grid. A round above ``combine.MAX_PAIRS``
-    folds its chains one at a time.
+    ``_sum(front, back)``. Steps are read ahead while the last one read
+    waits for a fold, the chains number fewer than ``_BLOCK_STEPS``, and
+    the rows of the sums held plus the waiting steps and the reports in
+    their backs come to under ``_BLOCK_FOCALS`` (see
+    :meth:`_Lockstep.reads_on`); once the sums held reach that, only the
+    chains of the first waiting step fold. Neither counts the front sums of
+    the first waiting step, which the pairwise two stacks hold too, so
+    memory stays flat in the length of the grid. A round above
+    ``combine.MAX_PAIRS`` folds its chains one at a time.
     """
     lockstep = _Lockstep(scenario)
     splits = _splits(scenario, steps)
     waiting: deque = deque()
-    queued = 0  # reports in the backs of the waiting steps
+    queued = 0  # the waiting steps and the reports in their backs
     split = next(splits, None)
     while split or waiting:
-        while split and (not waiting or lockstep.ahead(waiting[0][2]) + queued < _BLOCK_FOCALS):
+        if not waiting and split[1] == split[3]:  # an empty window waits for nothing
+            yield split[0], None
+            split = next(splits, None)
+            continue
+        while split and (not waiting or lockstep.reads_on(waiting, queued)):
             t, lo, b, hi = split
             lockstep.need(lo, b, hi)
             waiting.append(split)
-            queued += hi - b
+            queued += 1 + hi - b
             split = next(splits, None)
         while waiting and lockstep.ready(*waiting[0][1:]):
             t, lo, b, hi = waiting.popleft()
-            queued -= hi - b
+            queued -= 1 + hi - b
             later = waiting[0] if waiting else split
             yield t, lockstep.window(lo, b, hi, later is None or later[2] != b)
         if waiting:

@@ -1013,6 +1013,20 @@ class TestRateOneLockstep:
         refused = [i for i, (_, over) in enumerate(calls) if over]
         assert refused and all(calls[i + 1] == (1, False) for i in refused)
 
+    def test_a_long_gap_is_not_read_ahead(self):
+        # 20 000 empty windows after a report: none of them waits for a fold,
+        # so none is held while the next is read
+        reports = [("eo", 0.0, ["lake"], 0.5), ("ir", 2000.0, ["tower"], 0.5)]
+        scenario = scenario_from(["lake", "tower"], reports, window=1.0, step=0.1)
+        steps = scenario_module._grid_steps(scenario)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in scenario_module._fresh_windows(scenario, steps)) == steps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps > 20_000 and peak < 64 * 1024
+
     def test_memory_is_flat_in_grid_length(self):
         # the two stacks flip every 20 steps of this stream
         short, long = _repeating_stream(200, 1.0), _repeating_stream(2000, 1.0)
