@@ -453,7 +453,8 @@ def _fresh_windows(scenario: Scenario, steps: int):
     queued = 0  # the waiting steps and the reports in their backs
     split = next(splits, None)
     while split or waiting:
-        if not waiting and split[1] == split[3]:  # an empty window waits for nothing
+        if not waiting and split[1] == split[3] and (split[2], -1) not in lockstep.chains:
+            # an empty window past the last sums of its split waits for nothing
             yield split[0], None
             split = next(splits, None)
             continue
