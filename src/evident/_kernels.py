@@ -1,11 +1,12 @@
 """NumPy kernels behind mass-function queries and the orthogonal sum.
 
 Focal sets are passed as a uint64 bitmask array plus an aligned float64 mass
-array. Every sum here follows one rule: a weighted ``np.bincount`` adds each
-bin's masses in input order, starting from 0.0. A mass of 0.0 added for a row
-that misses a bin leaves the bin as it is, so a sum over a masked array
-equals the sum over the rows the mask keeps, bit for bit, and two kernels that
-add the same rows in the same order agree to the last bit.
+array. Every sum here follows one rule: each bin adds its masses in input
+order, starting from 0.0, as a weighted ``np.bincount`` does and as
+``np.add.at`` does, which is unbuffered. A mass of 0.0 added for a row that
+misses a bin leaves the bin as it is, so a sum over a masked array equals the
+sum over the rows the mask keeps, bit for bit, and two kernels that add the
+same rows in the same order agree to the last bit.
 
 :func:`belief_sum` and :func:`plausibility_sum` are the masked sums for one
 target, so their scratch arrays grow with the focal count alone;
@@ -24,8 +25,10 @@ intersection by one of two groupings, chosen from the input size alone:
 
 - when the frame's power set is no larger than the pair count
   (``2**n_atoms <= pairs``), the intersection masks index a dense array of
-  ``2**n_atoms`` bins directly, so no sort is needed and the bins take no more
-  memory than the products;
+  ``2**n_atoms`` bins directly, so no sort is needed. The pairs are made and
+  added a chunk of whole leading rows at a time, at most ``_CHUNK_CELLS``
+  pairs or one row, so the scratch is the bins and one chunk, never the
+  whole outer product;
 - otherwise ``np.unique`` sorts the masks into groups.
 
 Both return the same arrays bit for bit: groups ascend by mask, and each
@@ -44,13 +47,18 @@ from __future__ import annotations
 import numpy as np
 
 
-# (row, atom) cells one chunk of atom_sums holds at once. By tracemalloc, a
-# chunk's scratch grows by 17 bytes a cell over about 70 kB of NumPy's cast
-# buffer, so a full chunk peaks near 140 kB; a chunk takes at least one atom,
-# so past this many rows the kernel holds about 26 bytes a row. On the
-# 16-atom benchmark replays, 2**10 to 2**14 cells made no resolved
-# difference in CPU time, and 2**14 held 0.3 MB more at peak (a shared
-# 2-vCPU x86 machine)
+# Cells one chunk holds at once: (row, atom) cells of atom_sums, focal pairs
+# of the dense combine_products. An atom_sums chunk's scratch grows by 17
+# bytes a cell over about 70 kB of NumPy's cast buffer, and a chunk takes at
+# least one atom, so past this many rows the kernel holds about 26 bytes a
+# row. A dense chunk holds about 17 bytes a pair beside 9 bytes for each of
+# the 2**n_atoms bins, and takes at least one leading row. On the 16-atom
+# benchmark replays, 2**10 to 2**14 cells made no resolved difference in CPU
+# time, and 2**14 held 0.3 MB more at peak. On fuse-dense, a fold's median
+# read 12.6, 14.8, 14.0 and 19.1 ms at 2**12, 2**13, 2**14 and 2**15 pairs,
+# each within the others' spread up to 2**14, and 27.3 ms with the whole
+# outer product built (perfbench, 3 to 7 runs of 10 s each, seed 1; a shared
+# 2-vCPU x86 machine with 2 MB of L2 a core)
 _CHUNK_CELLS = 1 << 12
 
 
@@ -113,20 +121,38 @@ def combine_products(
 
     Returns (group_bits, group_sums): the sorted distinct intersection
     bitmasks (possibly including 0, the conflict group) and the summed
-    products landing on each.
+    products landing on each. Each sum adds its products in row-major pair
+    order (every pair of ``bits1[0]``, then every pair of ``bits1[1]``, and
+    so on), starting from 0.0.
+
+    When ``2**n_atoms <= pairs``, the products are added into ``2**n_atoms``
+    dense bins a chunk of whole ``bits1`` rows at a time, so the scratch is
+    the bins and one chunk of at most ``_CHUNK_CELLS`` pairs or one row;
+    otherwise the whole outer product is grouped by sorting.
     """
-    inter = (bits1[:, None] & bits2[None, :]).ravel()
-    prod = (w1[:, None] * w2[None, :]).ravel()
     # a Python int, so a 64-atom frame cannot overflow and always sorts
     bins = 1 << n_atoms
-    if bins <= inter.shape[0]:
-        # every mask is below 2**n_atoms <= pairs, so it fits an intp index;
-        # occupancy is counted, not read off the sums, because a product can
-        # underflow to 0.0 and its group must still be returned
-        index = inter.view(np.int64)
-        group_index = np.flatnonzero(np.bincount(index, minlength=bins))
-        group_sums = np.bincount(index, weights=prod, minlength=bins)[group_index]
-        return group_index.astype(np.uint64), group_sums
+    if bins <= bits1.shape[0] * bits2.shape[0]:
+        sums = np.zeros(bins)
+        # a product can underflow to 0.0, and its group must still be
+        # returned; products are non-negative, so a bin with a positive
+        # product has a positive sum
+        held = np.zeros(bins, dtype=bool)
+        rows = max(1, _CHUNK_CELLS // bits2.shape[0])
+        for lo in range(0, bits1.shape[0], rows):
+            # every mask is below 2**n_atoms <= pairs, so it fits an intp index
+            index = (bits1[lo : lo + rows, None] & bits2).ravel().view(np.int64)
+            prod = (w1[lo : lo + rows, None] * w2).ravel()
+            # unbuffered, in index order: a chunk is whole rows of the
+            # row-major pairs, so each bin adds its products in the order one
+            # bincount over the whole outer product would
+            np.add.at(sums, index, prod)
+            held[index[prod == 0.0]] = True
+        held |= sums > 0.0
+        group_index = np.flatnonzero(held)
+        return group_index.astype(np.uint64), sums[group_index]
+    inter = (bits1[:, None] & bits2[None, :]).ravel()
+    prod = (w1[:, None] * w2[None, :]).ravel()
     group_bits, inverse = np.unique(inter, return_inverse=True)
     group_sums = np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
     return group_bits, group_sums

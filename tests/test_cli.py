@@ -237,6 +237,12 @@ class TestCombine:
         assert "lake: [0.482759, 0.689655]" in out
         assert "tower: [0.310345, 0.517241]" in out
 
+    def test_dense_fold_prints_the_golden_output(self, capsys):
+        # 4 functions of 64 focals on 8 atoms: each sum after the first takes
+        # the dense branch in more than one chunk of leading rows
+        assert main(["combine", str(DATA / "masses_dense.json")]) == 0
+        assert capsys.readouterr().out == (DATA / "masses_dense_golden.txt").read_text()
+
     def test_unnormalized_mass_exits_1(self, tmp_path, capsys):
         doc = {"frame": ["lake"], "masses": [[{"atoms": ["lake"], "mass": 0.5}]]}
         path = tmp_path / "m.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,12 @@ def _operands(rng, n_atoms, size1, size2, dust):
     return bits1, w1, bits2, w2
 
 
+def _assert_matches_the_oracle(got, bits1, w1, bits2, w2):
+    want = grouped_products_oracle(bits1, w1, bits2, w2)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_atoms=st.integers(1, 20),
@@ -40,25 +47,77 @@ def _operands(rng, n_atoms, size1, size2, dust):
     size2=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
     dust=st.booleans(),
+    chunk_rows=st.sampled_from([1, 3, None]),
 )
-@example(n_atoms=12, size1=64, size2=64, seed=0, dust=False)  # pairs == 2**n: dense
-@example(n_atoms=12, size1=63, size2=65, seed=0, dust=True)  # pairs == 2**n - 1: sort
-@example(n_atoms=16, size1=320, size2=400, seed=1, dust=True)
-def test_combine_products_matches_the_sorting_reference(n_atoms, size1, size2, seed, dust):
+@example(n_atoms=12, size1=64, size2=64, seed=0, dust=False, chunk_rows=None)  # pairs == 2**n: dense
+@example(n_atoms=12, size1=63, size2=65, seed=0, dust=True, chunk_rows=None)  # pairs == 2**n - 1: sort
+@example(n_atoms=16, size1=320, size2=400, seed=1, dust=True, chunk_rows=None)
+@example(n_atoms=8, size1=64, size2=40, seed=2, dust=True, chunk_rows=1)
+@example(n_atoms=8, size1=64, size2=40, seed=3, dust=True, chunk_rows=3)  # a last chunk of 1 row
+def test_combine_products_matches_the_sorting_reference(
+    n_atoms, size1, size2, seed, dust, chunk_rows
+):
+    # the dense sum takes chunk_rows leading rows at a time, or its default
     bits1, w1, bits2, w2 = _operands(np.random.default_rng(seed), n_atoms, size1, size2, dust)
-    got_bits, got_sums = K.combine_products(bits1, w1, bits2, w2, n_atoms)
-    want_bits, want_sums = grouped_products_oracle(bits1, w1, bits2, w2)
-    assert got_bits.dtype == want_bits.dtype and got_sums.dtype == want_sums.dtype
-    assert np.array_equal(got_bits, want_bits)
-    assert np.array_equal(got_sums, want_sums)
+    chunk_cells = K._CHUNK_CELLS if chunk_rows is None else chunk_rows * size2
+    with mock.patch.object(K, "_CHUNK_CELLS", chunk_cells):
+        got = K.combine_products(bits1, w1, bits2, w2, n_atoms)
+    _assert_matches_the_oracle(got, bits1, w1, bits2, w2)
+
+
+# (bits1, w1, bits2, w2) on two atoms, and the groups the products land in
+_UNDERFLOWS = [
+    # group 1's products all underflow
+    (([1, 2], [5e-324, 1.0], [1, 2], [5e-324, 1.0]), [0, 1, 2], [1e-323, 0.0, 1.0]),
+    # group 1 gets only products of 0.0, from the first and the second row
+    (([1, 3], [1e-200, 1e-200], [1, 2], [1e-200, 0.5]), [0, 1, 2], [5e-201, 0.0, 5e-201]),
+    # group 2 gets only a product of 0.0, in a row after group 1's positive ones
+    (([1, 2], [0.5, 1e-200], [1, 3], [0.5, 1e-200]), [0, 1, 2], [5e-201, 0.25, 0.0]),
+]
 
 
 def test_combine_products_keeps_a_group_whose_products_underflow():
-    bits = np.array([1, 2], np.uint64)
-    weights = np.array([5e-324, 1.0])
-    got_bits, got_sums = K.combine_products(bits, weights, bits, weights, 2)
-    assert got_bits.tolist() == [0, 1, 2]
-    assert got_sums.tolist() == [1e-323, 0.0, 1.0]
+    # one leading row a chunk, then both rows in one chunk
+    for chunk_cells in (1, K._CHUNK_CELLS):
+        for (bits1, w1, bits2, w2), want_bits, want_sums in _UNDERFLOWS:
+            bits1, bits2 = np.array(bits1, np.uint64), np.array(bits2, np.uint64)
+            w1, w2 = np.array(w1), np.array(w2)
+            with mock.patch.object(K, "_CHUNK_CELLS", chunk_cells):
+                got = K.combine_products(bits1, w1, bits2, w2, 2)
+            assert got[0].tolist() == want_bits
+            assert got[1].tolist() == want_sums
+            _assert_matches_the_oracle(got, bits1, w1, bits2, w2)
+
+
+def test_dense_sums_add_each_bin_in_pair_order():
+    # np.add.at must add unbuffered and in index order, as np.bincount does:
+    # reordered, these three products round to another last bit
+    fed = np.array([1.0, 2.0**-53, 2.0**-53])
+    one_bin = np.zeros(3, np.intp)
+    lead = np.array([1], np.uint64), np.array([1.0])
+    for values, want in ((fed, 1.0), (fed[::-1], 1.0 + 2.0**-52)):
+        at = np.zeros(1)
+        np.add.at(at, one_bin, values)
+        assert at[0] == np.bincount(one_bin, weights=values)[0] == want
+        got = K.combine_products(*lead, np.ones(3, np.uint64), values, 1)
+        assert got[0].tolist() == [1] and got[1].tolist() == [want]
+
+
+def test_dense_sum_holds_the_bins_and_one_chunk():
+    # 64 x 16 384 focals on 16 atoms: about a million pairs, 16 MB as one
+    # outer product of masks and masses; the 2**16 bins and the arrays
+    # returned from them take under 2 MB
+    rng = np.random.default_rng(0)
+    bits1 = (rng.choice((1 << 16) - 1, 64, replace=False) + 1).astype(np.uint64)
+    bits2 = (rng.choice((1 << 16) - 1, 1 << 14, replace=False) + 1).astype(np.uint64)
+    w1, w2 = rng.random(64), rng.random(1 << 14)
+    tracemalloc.start()
+    try:
+        K.combine_products(bits1, w1, bits2, w2, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 @settings(max_examples=30, deadline=None)
