@@ -29,16 +29,17 @@ intersection by one of two groupings, chosen from the input size alone:
   added a chunk of whole leading rows at a time, at most ``_CHUNK_CELLS``
   pairs or one row, so the scratch is the bins and one chunk, never the
   whole outer product;
-- otherwise ``np.unique`` sorts the masks into groups.
+- otherwise the masks are sorted into groups by a least-significant-digit
+  radix sort: numpy's stable sort of 16-bit keys, over the mask 16 bits at a
+  time, so a frame of up to 16 atoms takes one pass and a 64-atom frame four.
 
 Both return the same arrays bit for bit: groups ascend by mask, and each
 group's products are added in input order.
 
 :func:`support_products` is the same pooling for many sums at once, each of
-an accumulator with a two-focal simple support, as the aged replay folds
-every step of a block in lockstep. Rows are grouped by (step, mask) by a
-least-significant-digit radix sort: numpy's stable sort of 16-bit keys, over
-the mask 16 bits at a time and then over the block-local step id, so no
+an accumulator with a two-focal simple support, as the replays fold many
+steps in lockstep. Its rows are grouped by (step, mask) by the same radix
+sort, with one more stable pass over the block-local step id, so no
 composite key has to fit in the 64 bits a 64-atom mask already fills.
 """
 
@@ -128,7 +129,8 @@ def combine_products(
     When ``2**n_atoms <= pairs``, the products are added into ``2**n_atoms``
     dense bins a chunk of whole ``bits1`` rows at a time, so the scratch is
     the bins and one chunk of at most ``_CHUNK_CELLS`` pairs or one row;
-    otherwise the whole outer product is grouped by sorting.
+    otherwise the whole outer product is grouped by the stable radix sort of
+    :func:`_grouped`, which keeps each group's products in pair order.
     """
     # a Python int, so a 64-atom frame cannot overflow and always sorts
     bins = 1 << n_atoms
@@ -151,10 +153,9 @@ def combine_products(
         held |= sums > 0.0
         group_index = np.flatnonzero(held)
         return group_index.astype(np.uint64), sums[group_index]
-    inter = (bits1[:, None] & bits2[None, :]).ravel()
-    prod = (w1[:, None] * w2[None, :]).ravel()
-    group_bits, inverse = np.unique(inter, return_inverse=True)
-    group_sums = np.bincount(inverse, weights=prod, minlength=group_bits.shape[0])
+    _, group_bits, group_sums = _grouped(
+        [None, (bits1[:, None] & bits2).ravel(), (w1[:, None] * w2).ravel()], n_atoms
+    )
     return group_bits, group_sums
 
 
@@ -185,32 +186,58 @@ def support_products(
     first focal's two products, then the second's.
     """
     rows = step.shape[0]
-    inter = np.concatenate([bits & focus[step], bits])
-    prod = np.concatenate([masses * degree[step], masses * (1.0 - degree)[step]])
-    step = np.concatenate([step, step])
+    products = [
+        np.concatenate([step, step]),
+        np.concatenate([bits & focus[step], bits]),
+        np.concatenate([masses * degree[step], masses * (1.0 - degree)[step]]),
+    ]
     if leads is not None and leads.shape[0]:
         # the first focal's product with the whole frame trades places with
         # the second focal's product with the focus
         swap = np.concatenate([leads + 1, leads + rows])
         back = np.concatenate([leads + rows, leads + 1])
-        inter[swap] = inter[back]
-        prod[swap] = prod[back]
-    # least significant digit first: numpy sorts 16-bit keys stably, by radix.
-    # The rows move after each pass, one array at a time, which holds less
-    # than composing the orders.
+        for column in products[1:]:
+            column[swap] = column[back]
+    return _grouped(products, n_atoms)
+
+
+def _grouped(rows: list, n_atoms: int):
+    """Products summed per distinct (step, mask), or per mask when there is no step.
+
+    ``rows`` is [step, masks, products], with step None for one sum, and is
+    emptied: its arrays are handed over, so each radix pass frees the rows it
+    moved. Returns (step, bits, sums), one row per group, ascending by step
+    and then by mask (step None for one sum), each sum adding its products in
+    input order. The sort is a stable least-significant-digit radix sort:
+    numpy's stable sort of 16-bit keys over the mask 16 bits at a time, then
+    over the step id, so no composite key has to fit in the 64 bits a 64-atom
+    mask already fills.
+    """
+    step, inter, prod = rows
+    rows.clear()
+    # the rows move after each pass, one array at a time, which holds less
+    # than composing the orders
     for shift in range(0, n_atoms, 16):
-        order = np.argsort((inter >> np.uint64(shift)).astype(np.uint16), kind="stable")
+        # the cast keeps the low 16 bits, so the first pass needs no shift
+        digit = (inter >> np.uint64(shift) if shift else inter).astype(np.uint16)
+        order = digit.argsort(kind="stable")
+        inter = inter[order]
+        prod = prod[order]
+        if step is not None:
+            step = step[order]
+        del digit, order
+    first = np.empty(inter.shape[0], dtype=bool)
+    first[:1] = True
+    if step is None:
+        np.not_equal(inter[1:], inter[:-1], out=first[1:])
+    else:
+        order = step.argsort(kind="stable")
         step = step[order]
         inter = inter[order]
         prod = prod[order]
-    order = np.argsort(step, kind="stable")
-    step = step[order]
-    inter = inter[order]
-    prod = prod[order]
-    del order
-    first = np.ones(step.shape[0], dtype=bool)
-    first[1:] = (step[1:] != step[:-1]) | (inter[1:] != inter[:-1])
-    start = np.flatnonzero(first)
-    # bincount adds in input order; np.add.reduceat would sum pairwise
-    sums = np.bincount(np.cumsum(first) - 1, weights=prod, minlength=start.shape[0])
-    return step[start], inter[start], sums
+        del order
+        first[1:] = (step[1:] != step[:-1]) | (inter[1:] != inter[:-1])
+    # bincount adds in input order; np.add.reduceat would sum pairwise. Group
+    # g's rows carry g + 1, so bin 0 stays empty
+    sums = np.bincount(first.cumsum(), weights=prod)[1:]
+    return None if step is None else step[first], inter[first], sums

@@ -642,18 +642,19 @@ def emit_trace(rows: list[TraceRow], fmt: str = "csv") -> str:
         + [f"{a}_{kind}" for a in atoms for kind in ("bel", "pl")]
         + ["conflict", "status", "hypothesis"]
     )
+    # every real of a row at once; %-style and format-style .6f round alike
+    numbers = ",".join(["%.6f"] * (2 * len(atoms) + 2))
     table = [header]
     for row in rows:
-        cells = [f"{row.time:.6f}"]
+        values = [row.time]
         for _, interval in row.intervals:
-            cells.append(f"{interval.support:.6f}")
-            cells.append(f"{interval.plausibility:.6f}")
-        cells.append(f"{row.cumulative_conflict:.6f}")
-        cells.append(_status_label(row))
-        cells.append(row.hypothesis or "")
-        table.append(cells)
+            values += (interval.support, interval.plausibility)
+        values.append(row.cumulative_conflict)
+        table.append([numbers % tuple(values), _status_label(row), row.hypothesis or ""])
     if fmt == "csv":
         return "\n".join(",".join(cells) for cells in table) + "\n"
+    # the numeric cells hold no commas
+    table[1:] = [cells[0].split(",") + cells[1:] for cells in table[1:]]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = []
     for r in table:

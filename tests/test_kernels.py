@@ -103,6 +103,15 @@ def test_dense_sums_add_each_bin_in_pair_order():
         assert got[0].tolist() == [1] and got[1].tolist() == [want]
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_sum_holds_the_bins_and_one_chunk():
     # 64 x 16 384 focals on 16 atoms: about a million pairs, 16 MB as one
     # outer product of masks and masses; the 2**16 bins and the arrays
@@ -111,13 +120,7 @@ def test_dense_sum_holds_the_bins_and_one_chunk():
     bits1 = (rng.choice((1 << 16) - 1, 64, replace=False) + 1).astype(np.uint64)
     bits2 = (rng.choice((1 << 16) - 1, 1 << 14, replace=False) + 1).astype(np.uint64)
     w1, w2 = rng.random(64), rng.random(1 << 14)
-    tracemalloc.start()
-    try:
-        K.combine_products(bits1, w1, bits2, w2, 16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 << 20
+    assert _traced_peak(lambda: K.combine_products(bits1, w1, bits2, w2, 16)) < 3 << 20
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,11 +161,20 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
     degree[::4] = 0.0
     degree[2::5] = 1.0
     step = np.repeat(np.arange(steps, dtype=np.int16), [f.shape[0] for f in focals])
+    _assert_support_rows_match_the_pairwise_reference(
+        step, focals, masses, focus, degree, n_atoms
+    )
+
+
+def _assert_support_rows_match_the_pairwise_reference(
+    step, focals, masses, focus, degree, n_atoms
+):
+    full = np.uint64((1 << n_atoms) - 1)
     got_step, got_bits, got_sums = K.support_products(
         step, np.concatenate(focals), np.concatenate(masses), focus, degree, n_atoms
     )
     assert np.all(np.diff(got_step) >= 0)
-    for k in range(steps):
+    for k in range(len(focals)):
         mine = got_step == k
         want_bits, want_sums = grouped_products_oracle(
             np.array([focus[k], full]), np.array([degree[k], 1.0 - degree[k]]),
@@ -170,6 +182,61 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
         )
         assert np.array_equal(got_bits[mine], want_bits)
         assert np.array_equal(got_sums[mine], want_sums)
+
+
+def _seam_masks(rng, n_atoms, size):
+    # two low parts, each under bit 16, so the masks agree on their low digit
+    # or digits in pairs and differ above them: at the seams 16, 32, 48 and
+    # 63, and at the frame's top bit
+    low = rng.integers(0, 1 << min(n_atoms, 16), 2, dtype=np.uint64)
+    seams = [b for b in (16, 32, 48, 63, n_atoms - 1) if b < n_atoms]
+    high = np.zeros(size, np.uint64)
+    for b in seams:
+        high |= rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(b)
+    return low[rng.integers(0, 2, size)] | high
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_atoms=st.sampled_from([16, 17, 32, 33, 48, 64]), seed=st.integers(0, 2**32 - 1))
+@example(n_atoms=64, seed=0)
+def test_radix_passes_order_masks_that_differ_only_above_a_digit(n_atoms, seed):
+    # every radix pass after the first must keep the order of the passes
+    # before it: groups ascend by mask, and each adds in pair order
+    rng = np.random.default_rng(seed)
+    bits1, bits2 = _seam_masks(rng, n_atoms, 40), _seam_masks(rng, n_atoms, 50)
+    w1, w2 = rng.random(40), rng.random(50)
+    assert 40 * 50 < 1 << n_atoms  # the sort branch
+    got = K.combine_products(bits1, w1, bits2, w2, n_atoms)
+    _assert_matches_the_oracle(got, bits1, w1, bits2, w2)
+    # two steps holding the same focals, each with its own support
+    focals = [np.unique(bits1)] * 2
+    masses = [rng.random(focals[0].shape[0]) for _ in focals]
+    focus = _seam_masks(rng, n_atoms, 2)
+    focus[focus == 0] = np.uint64(1) << np.uint64(n_atoms - 1)
+    step = np.repeat(np.arange(2, dtype=np.int16), focals[0].shape[0])
+    _assert_support_rows_match_the_pairwise_reference(
+        step, focals, masses, focus, rng.random(2), n_atoms
+    )
+
+
+def test_sorted_sums_free_the_rows_they_move():
+    # the products' masks and masses are 16 bytes a pair, and the sort moves
+    # them a pass at a time, freeing what it moved: 34 bytes a pair at peak on
+    # 16 and on 64 atoms, and about 50 if the unsorted rows stayed alive
+    rng = np.random.default_rng(0)
+    for n_atoms, size in ((16, 200), (64, 300)):
+        bits1, w1, bits2, w2 = _operands(rng, n_atoms, size, size, False)
+        assert size * size < 1 << n_atoms  # the sort branch
+        peak = _traced_peak(lambda: K.combine_products(bits1, w1, bits2, w2, n_atoms))
+        assert peak < 44 * size * size
+    # a lockstep round of 64 steps of 4 000 focals: 72 bytes a focal at peak,
+    # and about 106 if the unsorted rows stayed alive
+    step = np.repeat(np.arange(64, dtype=np.int16), 4000)
+    bits = rng.integers(1, 1 << 16, step.shape[0], dtype=np.uint64)
+    masses, focus = rng.random(step.shape[0]), rng.integers(1, 1 << 16, 64, dtype=np.uint64)
+    degree = rng.random(64)
+    peak = _traced_peak(lambda: K.support_products(step, bits, masses, focus, degree, 16))
+    assert peak < 88 * step.shape[0]
 
 
 @settings(max_examples=100, deadline=None)
