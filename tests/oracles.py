@@ -5,8 +5,8 @@ never on the package's bitmask/array representation, so each check is an
 independent route to the same value. The exceptions are
 :func:`grouped_products_oracle`, which pins a kernel's exact output arrays,
 :func:`decide_oracle`, the decision rule as a loop over the atoms, and
-:class:`TwoStacks`, the rate-1 replay's window sums one pairwise combine at a
-time.
+:class:`TwoStacks` and :func:`left_fold_windows`, the replays' window sums
+one pairwise combine at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from evident import (
     MassFunction,
     Or,
     simple_support,
+    vacuous,
 )
 from evident.combine import _sum
 from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
@@ -202,6 +203,22 @@ def two_stacks_windows(scenario, bounds):
             window.push(simple_support(scenario.frame, r.focus, r.degree))
         lo, hi = new_lo, new_hi
         yield t, window.total()
+
+
+def left_fold_windows(scenario, bounds):
+    """(t, window aggregate or None when empty) per (t, lo, hi) of ``bounds``.
+
+    The aged replay's windows: the left fold of ``_sum`` from the vacuous
+    aggregate over each report's :func:`simple_support`, at the degree
+    ``rate ** max(t - time, 0.0) * degree`` it has aged to at t.
+    """
+    frame, rate = scenario.frame, scenario.discount_rate
+    for t, lo, hi in bounds:
+        acc = (vacuous(frame), 1.0) if lo < hi else None
+        for r in scenario.reports[lo:hi]:
+            support = simple_support(frame, r.focus, rate ** max(t - r.time, 0.0) * r.degree)
+            acc = _sum(acc, (support, 1.0))
+        yield t, acc
 
 
 def random_mass(rng: random.Random, frame: Frame, max_focals: int = 6) -> MassFunction:

@@ -508,6 +508,36 @@ class TestLockstepSum:
         supports = [simple_support(frame, f, 0.3) for f in (lake, tower)]
         assert {first(acc, m) for m in supports} == {True, False}
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.just((1 << n) - 1) | st.integers(1, (1 << n) - 1)
+            )
+        ),
+        st.sampled_from(
+            [0.0, 1.0, 5e-324, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+        ) | st.floats(0.0, 1.0),
+    )
+    def test_a_vacuous_row_summed_with_a_support_is_the_support(self, frame_focus, degree):
+        # the replay's chains start from the vacuous row: its sum with a
+        # support must be the support's own rows, because fl(d + fl(1 - d))
+        # is 1.0 for every d in [0, 1], so the sum divides by exactly 1
+        n_atoms, focus = frame_focus
+        full = (1 << n_atoms) - 1
+        want_bits, want_masses = combine_module._support_rows(focus, degree, full)
+        # one accumulator takes the pairwise sum, two the grouped one
+        for count in (1, 2):
+            step, bits, masses, conflict = combine_module._sum_supports(
+                np.arange(count, dtype=np.int16), np.full(count, full, np.uint64),
+                np.ones(count), np.full(count, focus, np.uint64), np.full(count, degree),
+                n_atoms, 0,
+            )
+            assert _hex(conflict) == [0.0.hex()] * count
+            for k in range(count):
+                assert bits[step == k].tolist() == want_bits.tolist()
+                assert _hex(masses[step == k]) == _hex(want_masses)
+
 
 combine_module = importlib.import_module("evident.combine")
 

@@ -58,6 +58,7 @@ from .oracles import (
     decide_oracle,
     focal_map,
     fold_products,
+    left_fold_windows,
     pl_oracle,
     two_stacks_windows,
 )
@@ -934,6 +935,36 @@ FRESH_CASES = {
     "64-atoms-foci-on-bit-63": lambda: aged_stream(4, 64, 160, 0.5, 10.0, 1.0, focus=_on_bit_63),
     "halves-on-disjoint-atoms": _halves_on_disjoint_atoms,
 }
+
+
+def assert_aged_matches_pairwise_fold(scenario: Scenario) -> None:
+    """The aged lockstep's window sums equal the pairwise left fold's bit for bit."""
+    steps = scenario_module._grid_steps(scenario)
+    got = list(scenario_module._aged_windows(scenario, steps))
+    want = list(left_fold_windows(scenario, scenario_module._window_bounds(scenario, steps)))
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
+
+
+def _aged_seed(seed: int, rate: float = 0.99) -> Scenario:
+    rng = random.Random(f"replay-aged:{seed}")
+    return load_scenario(gen.dumps(gen.replay_scenario(rng, discount_rate=rate)))
+
+
+class TestAgedLockstep:
+    """Below rate 1 each step folds its window in lockstep with the others, and
+    each window is the pairwise left fold from the vacuous aggregate, bit for
+    bit. ``combine_all`` is not that reference: it reports the conflict
+    1 - retained, from which the retained mass does not come back bit for bit."""
+
+    @pytest.mark.parametrize("make", AGED_CASES.values(), ids=AGED_CASES.keys())
+    def test_named_streams_match_the_pairwise_left_fold(self, make):
+        assert_aged_matches_pairwise_fold(make())
+
+    @pytest.mark.parametrize("rate", [0.99, 0.9])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_benchmark_streams_match_the_pairwise_left_fold(self, seed, rate):
+        assert_aged_matches_pairwise_fold(_aged_seed(seed, rate))
 
 
 class TestRateOneLockstep:
