@@ -5,30 +5,25 @@ to some degree. A run walks a fixed time grid; at every step it fuses the
 simple support functions of the reports inside the sliding window, applies
 the decision rule, and emits one trace row.
 
-How a window is fused depends on the scenario's discount rate alone:
+A window is kept as a two-stacks sliding-window aggregate (Tangwongsan,
+Hirzel and Schneider, "General Incremental Sliding-Window Aggregation",
+VLDB 2015). Dempster's rule is associative but has no inverse, so a leaving
+report cannot be subtracted from a running sum; the two stacks need
+neither. A window is the sum of a front, a suffix of the reports that were
+in the window when its low end last passed the split, and a back, the
+reports since. Each is read off a chain: a running sum from the vacuous
+aggregate, one report at a time. At rate 1 a report's support does not
+change with age, so the steps of a split share its front and back chains,
+and a step takes one pairwise combine of the two. Below rate 1 every support
+ages between steps, and discounting does not distribute over the orthogonal
+sum, so every window is a back alone, a chain of its own at the degrees its
+reports have aged to at its step. Which reports a chain sums follows from
+the window bounds alone, so the chains the waiting steps need fold in
+lockstep, one vectorised call a round, rather than one combine per report.
 
-- At rate 1 a report's support does not change with age, so the window is
-  kept as a two-stacks sliding-window aggregate (Tangwongsan, Hirzel and
-  Schneider, "General Incremental Sliding-Window Aggregation", VLDB 2015).
-  Dempster's rule is associative but has no inverse, so a leaving report
-  cannot be subtracted from a running sum; the two stacks need neither. A
-  window is the sum of a front, a suffix of the reports that were in the
-  window when its low end last passed the split, and a back, the reports
-  since. Which reports each holds follows from the window bounds alone, so
-  the prefix sums of every back and the suffix sums of every front fold in
-  lockstep, one vectorised call a round, and a step takes one pairwise
-  combine of its front and back. Until a report leaves, the window is the
-  plain left fold of its reports.
-- Below rate 1 every support ages between steps, and discounting does not
-  distribute over the orthogonal sum, so every step folds its own window, at
-  the degrees its reports have aged to. The steps fold in lockstep, a block
-  at a time: round j sums each step of the block with the (j+1)-th report of
-  its window, all in one vectorised call, so a block takes as many rounds as
-  its longest window rather than one combine per report per step.
-
-Either way the steps are decided a block at a time: every atom's interval
-at every step of the block comes from one kernel call, and the decision rule
-is applied to the whole block at once, as :func:`decide.decide` applies it to
+The steps are decided a block at a time: every atom's interval at every
+step of the block comes from one kernel call, and the decision rule is
+applied to the whole block at once, as :func:`decide.decide` applies it to
 one step. A block holds a bounded number of steps and of focals.
 
 Runs are batch replays: fold order is pinned (time, then sensor id) and
@@ -41,13 +36,12 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from ._jsonutil import number, of_type, parse_document, require
-from .combine import _CONTRADICTED, _Aggregate, _sum, _sum_supports, _support_rows
+from .combine import _CONTRADICTED, _Aggregate, _sum, _sum_supports
 from .decide import DecisionStatus, _check_outcome, _decide_block
 from .errors import (
     DegreeOutOfRange,
@@ -71,8 +65,8 @@ _GRID_EPS = 1e-9
 # a replay with a longer step grid is refused rather than walked
 MAX_GRID_STEPS = 1_000_000
 
-# steps the replay decides at once, and the aged replay folds in lockstep.
-# More take fewer rounds in all but hold more rows at once: on 16 atoms and
+# steps the replay decides at once, and chains it folds in lockstep. More
+# take fewer rounds in all but hold more rows at once: on 16 atoms and
 # 40-report windows, a 64-step fold peaks at about 0.5 MB traced and adds
 # 0.7 MB to peak RSS, a 128-step one adds 1.3 MB, near the benchmark's 5 %
 # bound, for no measured gain
@@ -244,58 +238,95 @@ def _window_bounds(scenario: Scenario, steps: int):
 def _splits(scenario: Scenario, steps: int):
     """(t, lo, b, hi) per grid step: the window ``reports[lo:hi]`` split at ``b``.
 
-    These are the two stacks' front ``[lo, b)`` and back ``[b, hi)``. Reports
-    enter at the back; the split stays put until the window's low end passes
-    it, when the two stacks move the whole back to the front: b becomes the
-    window's high end before the step, or its low end past a gap.
+    At rate 1 these are the two stacks' front ``[lo, b)`` and back ``[b, hi)``.
+    Reports enter at the back; the split stays put until the window's low end
+    passes it, when the two stacks move the whole back to the front: b
+    becomes the window's high end before the step, or its low end past a gap.
+    Below rate 1 a window is a back alone, split at its low end.
     """
+    aged = scenario.discount_rate < 1.0
     b = hi = 0
     for t, lo, new_hi in _window_bounds(scenario, steps):
-        if lo > b:
+        if aged:
+            b = lo
+        elif lo > b:
             b = max(lo, hi)
         hi = new_hi
         yield t, lo, b, hi
 
 
 class _Chain:
-    """One stack's running sum from split b, folded a report a round.
+    """One running sum from the vacuous row, folded a report a round.
 
     A back chain sums reports b, b+1, ... in order and a front chain b-1,
-    b-2, ..., each from its first report's support, as the two stacks sum
-    them. ``sums`` keeps its aggregate at each length a step needs. While
-    later steps of its split may still be read, a front chain also keeps
-    every length below ``open_below``: those steps need shorter suffixes,
-    not yet known, that it may have passed.
+    b-2, ..., as the two stacks sum them, each report at the degree it has
+    aged to at ``t``. ``sums`` keeps its aggregate at each length a step
+    needs. While later steps of its split may still be read, a front chain
+    also keeps every length below ``open_below``: those steps need shorter
+    suffixes, not yet known, that it may have passed. Between waves,
+    ``length`` and ``retained`` are those of the sum it goes on from; in a
+    wave, ``length`` is the one it began the wave at.
     """
 
-    __slots__ = ("first", "sign", "length", "target", "bits", "masses", "retained",
-                 "sums", "rows", "wanted", "open_below")
+    __slots__ = ("first", "sign", "t", "length", "target", "retained", "sums", "rows",
+                 "wanted", "open_below")
 
-    def __init__(self, b: int, sign: int):
+    def __init__(self, b: int, sign: int, t: float):
         self.first = b if sign > 0 else b - 1
         self.sign = sign
+        self.t = t
         self.length = self.target = self.open_below = 0
         self.rows = 0  # of the sums kept
-        self.bits = self.masses = None
         self.retained = 1.0
         self.sums: dict[int, _Aggregate] = {}
         self.wanted: set[int] = set()
 
+    def due(self, length: int) -> int:
+        """The first length past ``length`` whose sum a step may need."""
+        n = length + 1
+        return n if n < self.open_below else min(w for w in self.wanted if w >= n)
+
 
 class _Lockstep:
-    """The chains the waiting steps of a rate-1 replay need, folded in lockstep."""
+    """The chains the waiting steps of a replay need, folded in lockstep.
+
+    At rate 1 the steps of a split share its front and back chains; below,
+    each step has a back chain of its own, aged to its time. The chains short
+    of their targets fold in waves, as flat rows held from round to round:
+    row i is focal ``bits[i]``, of mass ``masses[i]``, of chain
+    ``folding[step[i]]``, ascending by chain and then by mask, as
+    :func:`combine._sum_supports` takes them. A wave orders its chains by
+    the rounds they take to their targets as it begins, most first, so that
+    the chains that reach them leave from the rows' tail; a chain that a
+    later step needs longer goes on in a later wave.
+    """
 
     def __init__(self, scenario: Scenario):
         self.frame = scenario.frame
         self.reports = scenario.reports
-        self.chains: dict[tuple[int, int], _Chain] = {}
+        self.rate = scenario.discount_rate
+        self.chains: dict[tuple, _Chain] = {}
         self.held = 0  # rows of the sums the chains keep
-        self.last_b = 0  # the split of the last step read
+        self.last_key = None  # the split of the last step read
+        self.folding: list[_Chain] = []
+        self.rounds = 0  # the wave has folded
+        # per chain of the wave: the rounds to its target as the wave began,
+        # the round at which a step may next need its sum, its retained mass
+        self.ends: list[int] = []
+        self.due = np.zeros(0, np.intp)
+        self.retained = np.zeros(0)
+        # chains index the rows in int16: they number at most _BLOCK_STEPS + 1
+        self.rows = [np.zeros(0, np.int16), np.zeros(0, np.uint64), np.zeros(0)]
 
-    def ahead(self, b: int) -> int:
-        """Rows held beyond the front sums of split ``b``, which the pairwise
-        two stacks hold as well: what reading and folding ahead hold."""
-        front = self.chains.get((b, -1))
+    def key(self, step: tuple):
+        """The split whose chains the step reads: one per step below rate 1."""
+        return step[2] if self.rate == 1.0 else step
+
+    def ahead(self, parts) -> int:
+        """Rows held beyond the sums of a step's front, of its ``parts``, which
+        the pairwise two stacks hold as well: what reading and folding ahead
+        hold."""
+        front = parts[0][0]
         return self.held - (front.rows if front else 0)
 
     def reads_on(self, waiting: deque, queued: int) -> bool:
@@ -308,51 +339,51 @@ class _Lockstep:
         ``_BLOCK_FOCALS``.
         """
         return (
-            not self.ready(*waiting[-1][1:])
+            not self.ready(waiting[-1][2])
             and len(self.chains) < _BLOCK_STEPS
             and self.ahead(waiting[0][2]) + queued < _BLOCK_FOCALS
         )
 
-    def parts(self, lo: int, b: int, hi: int):
-        """(chain, length) of the front and the back of the window at a split."""
-        return (self.chains.get((b, -1)), b - lo), (self.chains.get((b, 1)), hi - b)
-
-    def need(self, lo: int, b: int, hi: int) -> None:
-        """Register a step read: its front and back sums must be kept.
+    def need(self, step: tuple) -> list:
+        """Register a step read; return its parts, the (chain or None, length)
+        of its front and its back, whose sums must be kept.
 
         Steps are read in order, so no step read later has the split of the
         last step read if this one's differs: that front is no longer open.
         """
-        if b != self.last_b and (self.last_b, -1) in self.chains:
-            self.chains[self.last_b, -1].open_below = 0
-        self.last_b = b
-        for sign, length in ((-1, b - lo), (1, hi - b)):
+        key = self.key(step)
+        if key != self.last_key and (self.last_key, -1) in self.chains:
+            self.chains[self.last_key, -1].open_below = 0
+        self.last_key = key
+        t, lo, b, hi = step
+        lengths = ((-1, b - lo), (1, hi - b))
+        for sign, length in lengths:
             if length:
-                chain = self.chains.get((b, sign))
+                chain = self.chains.get((key, sign))
                 if chain is None:
-                    chain = self.chains[b, sign] = _Chain(b, sign)
+                    chain = self.chains[key, sign] = _Chain(b, sign, t)
                 chain.target = max(chain.target, length)
                 chain.wanted.add(length)
                 if sign < 0:
                     chain.open_below = length
+        return [(self.chains.get((key, sign)), length) for sign, length in lengths]
 
-    def ready(self, lo: int, b: int, hi: int) -> bool:
-        """Whether the window's front and back sums are kept (need() made
-        the chains of both parts that hold reports)."""
-        chains = self.chains
-        return (b == lo or b - lo in chains[b, -1].sums) and (
-            hi == b or hi - b in chains[b, 1].sums
-        )
+    @staticmethod
+    def ready(parts) -> bool:
+        """Whether the sums of a step's front and back, its ``parts``, are kept."""
+        (front, n_front), (back, n_back) = parts
+        return (not n_front or n_front in front.sums) and (not n_back or n_back in back.sums)
 
-    def window(self, lo: int, b: int, hi: int, last: bool) -> _Aggregate | None:
-        """The window's aggregate, None when empty; the sums later steps need stay.
+    def window(self, key, parts, last: bool) -> _Aggregate | None:
+        """The aggregate of a step's window, None when empty, from its split's
+        ``key`` and its ``parts``; the sums later steps need stay.
 
         Fronts shrink and backs grow from step to step, so a later step of
         the split needs no longer front and no shorter back; after the
         ``last`` step of its split, neither chain is needed.
         """
-        (front, n_front), (back, n_back) = self.parts(lo, b, hi)
-        aggs = [chain.sums[n] for chain, n in ((front, n_front), (back, n_back)) if n]
+        (front, n_front), (back, n_back) = parts
+        aggs = [chain.sums[n] for chain, n in parts if n]
         for chain, stale in ((front, n_front.__lt__), (back, n_back.__gt__)):
             for n in [n for n in chain.sums if last or stale(n)] if chain else ():
                 mass = chain.sums.pop(n)[0]
@@ -360,90 +391,129 @@ class _Lockstep:
                 chain.rows -= rows
                 self.held -= rows
         if last:
-            self.chains.pop((b, -1), None)
-            self.chains.pop((b, 1), None)
+            self.chains.pop((key, -1), None)
+            self.chains.pop((key, 1), None)
         if len(aggs) == 2:
             return _sum(*aggs)
         return aggs[0] if aggs else None
 
-    def advance(self, head: tuple) -> None:
-        """Fold one round: every chain short of its target, or once the sums
-        held ahead of the ``head`` step reach ``_BLOCK_FOCALS`` only those it
-        waits for."""
-        if self.ahead(head[1]) < _BLOCK_FOCALS:
-            active = [c for c in self.chains.values() if c.length < c.target]
-        else:
-            active = [c for c, n in self.parts(*head) if n and c.length < n]
-        if not active:
-            raise AssertionError("a waiting step has no chain left to fold")
-        full = self.frame._full_bits
-        for chain in active:
-            if not chain.length:
-                r = self.reports[chain.first]
-                chain.bits, chain.masses = _support_rows(r.focus.bits, r.degree, full)
-                chain.length = 1
-                self.keep(chain)
-        folding = [c for c in active if c.length < c.target]
-        if folding and not self.fold(folding, self.held):
-            for chain in folding:
-                self.fold([chain], 0)
+    def advance(self, head) -> None:
+        """Fold a round of the wave, beginning one if none is folding.
 
-    def fold(self, folding: list[_Chain], held: int) -> bool:
-        """Sum each chain with its next report; False, summing none, when
-        ``combine._sum_supports`` finds the round over the pair cap."""
-        picked = [self.reports[c.first + c.sign * c.length] for c in folding]
-        ids = np.arange(len(folding), dtype=np.int16 if len(folding) < 1 << 15 else np.intp)
-        summed = _sum_supports(
-            np.repeat(ids, [c.bits.shape[0] for c in folding]),
-            np.concatenate([c.bits for c in folding]),
-            np.concatenate([c.masses for c in folding]),
-            np.array([r.focus.bits for r in picked], dtype=np.uint64),
-            np.array([r.degree for r in picked]),
-            len(self.frame), held,
-        )
+        Once the sums held ahead of the first waiting step, of ``head`` parts,
+        reach ``_BLOCK_FOCALS``, only its chains fold: a wave of other chains
+        ends, each to go on later from its longest sum kept. A round above
+        ``combine.MAX_PAIRS`` sums its chains one at a time.
+        """
+        mine = [chain for chain, _ in head]
+        over = self.ahead(head) >= _BLOCK_FOCALS
+        if over and any(c not in mine for c in self.folding):
+            for chain in self.folding:
+                chain.length = max(chain.sums, default=0)
+                chain.retained = chain.sums[chain.length][1] if chain.length else 1.0
+            self.folding = []
+        if not self.folding:
+            self.begin([
+                c for c in self.chains.values() if c.length < c.target and (c in mine or not over)
+            ])
+        chains, j = self.folding, self.rounds
+        focus, degree = self.supports(chains, j)
+        step, bits, masses = self.rows
+        n_atoms = len(self.frame)
+        summed = _sum_supports(step, bits, masses, focus, degree, n_atoms, self.held)
         if summed is None:
-            return False
+            cuts = np.searchsorted(step, np.arange(1, len(chains)))
+            parts = [
+                _sum_supports(*rows, focus[k:k + 1], degree[k:k + 1], n_atoms, 0)
+                for k, rows in enumerate(zip(*(np.split(a, cuts) for a in self.rows)))
+            ]
+            ids = np.arange(len(chains), dtype=np.int16).repeat([p[1].shape[0] for p in parts])
+            summed = [ids] + [np.concatenate(column) for column in list(zip(*parts))[1:]]
         step, bits, masses, conflict = summed
-        cuts = np.searchsorted(step, np.arange(len(folding) + 1)).tolist()
-        for chain, a, b, c in zip(folding, cuts, cuts[1:], conflict.tolist()):
-            chain.bits, chain.masses = bits[a:b], masses[a:b]
-            chain.retained *= 1.0 - c
-            chain.length += 1
-            self.keep(chain)
-        return True
+        self.retained *= 1.0 - conflict
+        self.rounds = j = j + 1
+        self.rows = [step, bits, masses]
+        hits = np.flatnonzero(self.due == j).tolist()
+        cuts = np.searchsorted(step, [k + d for k in hits for d in (0, 1)]).tolist() if hits else ()
+        leaving = 0
+        for k, a, b in zip(hits, cuts[::2], cuts[1::2]):
+            chain = chains[k]
+            n = chain.length + j
+            if n in chain.wanted or n < chain.open_below:
+                # copies, so that a sum holds none of the round's rows
+                chain.sums[n] = _CONTRADICTED if a == b else (
+                    MassFunction._from_arrays(self.frame, bits[a:b].copy(), masses[a:b].copy()),
+                    float(self.retained[k]),
+                )
+                chain.rows += b - a
+                self.held += b - a
+            if j < self.ends[k]:
+                self.due[k] = chain.due(n) - chain.length
+            else:
+                chain.length, chain.retained = n, float(self.retained[k])
+                leaving += 1
+        if leaving:
+            # the rows' head: copies when most rows leave, so that the wave
+            # holds no more of the round's arrays than it folds on
+            going_on = len(chains) - leaving
+            end = int(np.searchsorted(step, going_on))
+            self.rows = [a[:end].copy() if 2 * end < len(a) else a[:end] for a in self.rows]
+            del self.folding[going_on:], self.ends[going_on:]
+            self.due, self.retained = self.due[:going_on], self.retained[:going_on]
 
-    def keep(self, chain: _Chain) -> None:
-        """Keep the chain's aggregate at its length if a step may need it."""
-        if chain.length in chain.wanted or chain.length < chain.open_below:
-            rows = chain.bits.shape[0]
-            aggregate = _CONTRADICTED
-            if rows:
-                # copies, which the chain goes on from, so that neither the sum
-                # nor the chain holds the round's rows of other chains
-                chain.bits, chain.masses = chain.bits.copy(), chain.masses.copy()
-                mass = MassFunction._from_arrays(self.frame, chain.bits, chain.masses)
-                aggregate = (mass, chain.retained)
-            chain.sums[chain.length] = aggregate
-            chain.rows += rows
-            self.held += rows
+    def supports(self, chains: list[_Chain], j: int):
+        """(focus bits, degree) arrays of the report each chain sums in round
+        ``j`` of the wave.
+
+        The degree is the float ``rate ** age * degree`` gives; a report up to
+        the grid's slack after the chain's time has age 0.
+        """
+        picked = [(c.t, self.reports[c.first + c.sign * (c.length + j)]) for c in chains]
+        focus = np.array([r.focus.bits for _, r in picked], dtype=np.uint64)
+        # Python's float power, one report at a time: NumPy's vectorised ``**``
+        # (its SIMD path on x86-64 with AVX-512) is off Python's by an ulp on
+        # about 6 % of ages at rate 0.99, which would move aged rows by as
+        # much, below what the reference tests' 1e-12 tolerance can see
+        rate = self.rate
+        degree = np.array(
+            [rate ** (t - r.time) * r.degree if r.time < t else r.degree for t, r in picked]
+        )
+        return focus, degree
+
+    def begin(self, chains: list[_Chain]) -> None:
+        """Begin a wave of ``chains``, each from its last sum or the vacuous row."""
+        if not chains:
+            raise AssertionError("a waiting step has no chain left to fold")
+        chains.sort(key=lambda c: c.length - c.target)
+        empty = vacuous(self.frame)
+        starts = [chain.sums[chain.length][0] if chain.length else empty for chain in chains]
+        # a contradicted chain has no rows
+        none = empty._bits[:0], empty._masses[:0]
+        starts = [none if m is None else (m._bits, m._masses) for m in starts]
+        ids = np.arange(len(chains), dtype=np.int16)
+        self.rows = [ids.repeat([len(bits) for bits, _ in starts])]
+        self.rows += [np.concatenate(column) for column in zip(*starts)]
+        self.folding, self.rounds = chains, 0
+        self.ends = [c.target - c.length for c in chains]
+        self.due = np.array([c.due(c.length) - c.length for c in chains])
+        self.retained = np.array([c.retained for c in chains])
 
 
-def _fresh_windows(scenario: Scenario, steps: int):
-    """(t, window aggregate or None when empty) per step at discount rate 1.
+def _windows(scenario: Scenario, steps: int):
+    """(t, window aggregate or None when empty) per step.
 
-    The window is the two stacks' sum of its front and its back (see
-    :func:`_splits`). Every chain of prefix or suffix sums that the steps
-    read so far need folds in lockstep: each round sums every such chain with
-    its next report, in one :func:`combine._sum_supports` call, and a chain
-    carries its state from round to round, so it sums each of its reports
-    once. A step is yielded once its two sums are there, as one
-    ``_sum(front, back)``. Steps are read ahead while the last one read
-    waits for a fold, the chains number fewer than ``_BLOCK_STEPS``, and
-    the rows of the sums held plus the waiting steps and the reports in
-    their backs come to under ``_BLOCK_FOCALS`` (see
-    :meth:`_Lockstep.reads_on`); once the sums held reach that, only the
-    chains of the first waiting step fold. Neither counts the front sums of
-    the first waiting step, which the pairwise two stacks hold too, so
+    The window is the sum of its front and its back (see :func:`_splits`).
+    The chains of prefix or suffix sums that the steps read so far need fold
+    in lockstep (see :class:`_Lockstep`): each round sums every chain of the
+    wave with its next report, in one :func:`combine._sum_supports` call, so
+    a chain sums each of its reports once. A step is yielded once its sums
+    are there, as one ``_sum(front, back)`` when it has both. Steps are read
+    ahead while the last one read waits for a fold, the chains number fewer
+    than ``_BLOCK_STEPS``, and the rows of the sums held plus the waiting
+    steps and the reports in their backs come to under ``_BLOCK_FOCALS``
+    (see :meth:`_Lockstep.reads_on`); once the sums held reach that, only
+    the chains of the first waiting step fold. Neither counts the front sums
+    of the first waiting step, which the pairwise two stacks hold too, so
     memory stays flat in the length of the grid. A round above
     ``combine.MAX_PAIRS`` folds its chains one at a time.
     """
@@ -453,108 +523,22 @@ def _fresh_windows(scenario: Scenario, steps: int):
     queued = 0  # the waiting steps and the reports in their backs
     split = next(splits, None)
     while split or waiting:
-        if not waiting and split[1] == split[3] and (split[2], -1) not in lockstep.chains:
+        if waiting and lockstep.ready(waiting[0][2]):
+            step, key, parts = waiting.popleft()
+            queued -= 1 + step[3] - step[2]
+            later = waiting[0][1] if waiting else split and lockstep.key(split)
+            yield step[0], lockstep.window(key, parts, later != key)
+        elif not waiting and split[1] == split[3] and (lockstep.key(split), -1) not in lockstep.chains:
             # an empty window past the last sums of its split waits for nothing
             yield split[0], None
             split = next(splits, None)
-            continue
-        while split and (not waiting or lockstep.reads_on(waiting, queued)):
-            t, lo, b, hi = split
-            lockstep.need(lo, b, hi)
-            waiting.append(split)
-            queued += 1 + hi - b
-            split = next(splits, None)
-        while waiting and lockstep.ready(*waiting[0][1:]):
-            t, lo, b, hi = waiting.popleft()
-            queued -= 1 + hi - b
-            later = waiting[0] if waiting else split
-            yield t, lockstep.window(lo, b, hi, later is None or later[2] != b)
-        if waiting:
-            lockstep.advance(waiting[0][1:])
-
-
-def _aged_windows(scenario: Scenario, steps: int):
-    """(t, window aggregate or None when empty) per step at rate below 1.
-
-    Every step folds its own window in the pinned left-fold order, each report
-    a simple support at ``rate ** age * degree``. Steps are taken in blocks of
-    ``_BLOCK_STEPS``, which fold in lockstep: round j sums every step of the
-    block whose window holds more than j reports with its (j+1)-th, in one
-    :func:`combine._sum_supports` call. A block takes as many rounds as its
-    longest window, and memory stays flat in the length of the grid. A block
-    too large to hold at once folds one step at a time.
-    """
-    bounds = _window_bounds(scenario, steps)
-    while block := list(islice(bounds, _BLOCK_STEPS)):
-        fused = _fold_block(scenario, block)
-        if fused is None:  # too large to hold at once: one step at a time
-            fused = [_fold_block(scenario, [b])[0] for b in block]
-        yield from zip([t for t, _, _ in block], fused)
-
-
-def _fold_block(scenario: Scenario, block: list) -> list[_Aggregate | None] | None:
-    """The window aggregate, or None when empty, of each (t, lo, hi) of ``block``.
-
-    Returns None instead when a round would pair more focals than
-    ``combine.MAX_PAIRS``, counting the rows of the sums the block already
-    holds; a block of one step never does.
-    """
-    frame = scenario.frame
-    # fold ids by window length, longest first: the steps still folding are
-    # always a prefix of the ids, and those that finish leave the rows' tail
-    order = sorted(range(len(block)), key=lambda k: block[k][1] - block[k][2])
-    by_length = [block[k] for k in order]
-    lengths = [hi - lo for _, lo, hi in by_length]
-    fused: list[_Aggregate | None] = [None] * len(block)
-    held = 0
-    retained = np.ones(len(block))
-    # every non-empty window starts vacuous, the identity of the sum
-    step = np.flatnonzero(lengths).astype(np.int16)
-    bits = np.full(step.shape[0], np.uint64(frame._full_bits))
-    masses = np.ones(step.shape[0])
-
-    # lengths descend, so their negatives ascend and bisect
-    def longer_than(j: int) -> int:
-        return bisect_left(lengths, -j, key=int.__neg__)
-
-    for j in range(lengths[0]):
-        folding = longer_than(j)
-        focus, degree = _round_supports(scenario, by_length[:folding], j)
-        summed = _sum_supports(step, bits, masses, focus, degree, len(frame), held)
-        if summed is None:
-            return None
-        step, bits, masses, conflict = summed
-        retained[:folding] *= 1.0 - conflict
-        going_on = longer_than(j + 1)
-        cuts = np.searchsorted(step, range(going_on, folding + 1)).tolist()
-        for k, a, b in zip(range(going_on, folding), cuts, cuts[1:]):
-            held += b - a
-            # copies, so that a finished step holds none of the round's rows
-            fused[order[k]] = _CONTRADICTED if a == b else (
-                MassFunction._from_arrays(frame, bits[a:b].copy(), masses[a:b].copy()),
-                float(retained[k]),
-            )
-        step, bits, masses = step[: cuts[0]], bits[: cuts[0]], masses[: cuts[0]]
-    return fused
-
-
-def _round_supports(scenario: Scenario, block: list, j: int):
-    """(focus bits, degree) arrays of each step's (j+1)-th window report.
-
-    The degree is the float ``rate ** age * degree`` gives; a report up to
-    the grid's slack after t has age 0.
-    """
-    rate = scenario.discount_rate
-    picked = [(t, scenario.reports[lo + j]) for t, lo, _ in block]
-    focus = np.array([r.focus.bits for _, r in picked], dtype=np.uint64)
-    # Python's float power, one report at a time: NumPy's vectorised ``**``
-    # (its SIMD path on x86-64 with AVX-512) is off Python's by an ulp on
-    # about 6 % of ages at rate 0.99, which would move aged rows by as much,
-    # below what the reference tests' 1e-12 tolerance can see
-    degree = np.array(
-        [rate ** (t - r.time) * r.degree if r.time < t else r.degree for t, r in picked]
-    )
-    return focus, degree
+        else:
+            while split and (not waiting or lockstep.reads_on(waiting, queued)):
+                waiting.append((split, lockstep.key(split), lockstep.need(split)))
+                queued += 1 + split[3] - split[2]
+                split = next(splits, None)
+            if not lockstep.ready(waiting[0][2]):
+                lockstep.advance(waiting[0][2])
 
 
 def run_scenario(scenario: Scenario) -> list[TraceRow]:
@@ -579,9 +563,8 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     atoms = scenario.frame.atoms
     empty = vacuous(scenario.frame)
     steps = _grid_steps(scenario)
-    windows = _fresh_windows if scenario.discount_rate == 1.0 else _aged_windows
     rows: list[TraceRow] = []
-    for block in _blocks(windows(scenario, steps)):
+    for block in _blocks(_windows(scenario, steps)):
         # an empty window is vacuous; a contradicted one has conflict 1, which
         # the rule reports as high conflict under any threshold
         aggregates = [agg or (empty, 1.0) for _, agg in block]

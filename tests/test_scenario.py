@@ -551,6 +551,24 @@ AGED_CASES = {
 }
 
 
+def pair_capped_rounds(scenario: Scenario, cap: int, monkeypatch) -> list[tuple[int, bool]]:
+    """(chains, refused) of each lockstep round of a replay under a pair cap of
+    ``cap``, whose trace must equal the uncapped replay's."""
+    want = emit_trace(run_scenario(scenario))
+    calls = []
+    sum_supports = scenario_module._sum_supports
+
+    def spy(step, bits, masses, focus, degree, *rest):
+        summed = sum_supports(step, bits, masses, focus, degree, *rest)
+        calls.append((degree.shape[0], summed is None))
+        return summed
+
+    monkeypatch.setattr(scenario_module, "_sum_supports", spy)
+    monkeypatch.setattr(combine_module, "MAX_PAIRS", cap)
+    assert emit_trace(run_scenario(scenario)) == want
+    return calls
+
+
 def _repeating_stream(steps: int, rate: float) -> Scenario:
     """A 0.5-s stream on 16 atoms that repeats one focus per report of its
     40-report window, so every full window holds the same evidence."""
@@ -621,6 +639,7 @@ class TestReplayProperties:
         want = emit_trace(run_scenario(scenario))
         monkeypatch.setattr(masses_module, "simple_support", refuse)
         monkeypatch.setattr(combine_module, "combine", refuse)
+        monkeypatch.setattr(scenario_module, "_sum", refuse)
         assert emit_trace(run_scenario(scenario)) == want
 
     @pytest.mark.parametrize(
@@ -640,44 +659,36 @@ class TestReplayProperties:
         # slack after t (as 210 * 0.37 is after 111 * 0.7) has age 0
         scenario = make()
         rounds = []
-        round_supports = scenario_module._round_supports
+        supports = scenario_module._Lockstep.supports
         sum_supports = scenario_module._sum_supports
 
-        def spy_round(scenario, block, j):
-            focus, degree = round_supports(scenario, block, j)
-            rounds.append((block, j, degree))
+        def spy_supports(lockstep, chains, j):
+            focus, degree = supports(lockstep, chains, j)
+            # each chain's time and the report it sums in round j
+            rounds.append(([(c.t, c.first + c.sign * (c.length + j)) for c in chains], degree))
             return focus, degree
 
         def spy_sum(step, bits, masses, focus, degree, *rest):
-            assert degree is rounds[-1][2]
+            assert degree is rounds[-1][1]
             return sum_supports(step, bits, masses, focus, degree, *rest)
 
-        monkeypatch.setattr(scenario_module, "_round_supports", spy_round)
+        monkeypatch.setattr(scenario_module._Lockstep, "supports", spy_supports)
         monkeypatch.setattr(scenario_module, "_sum_supports", spy_sum)
         run_scenario(scenario)
         rate, checked = scenario.discount_rate, 0
-        for block, j, degree in rounds:
-            picked = [(t, scenario.reports[lo + j]) for t, lo, _ in block]
+        for chains, degree in rounds:
+            picked = [(t, scenario.reports[i]) for t, i in chains]
             want = [rate ** max(t - r.time, 0.0) * r.degree for t, r in picked]
             assert [d.hex() for d in degree.tolist()] == [w.hex() for w in want]
             checked += len(want)
         assert checked > 3000
 
     def test_block_over_the_pair_cap_folds_one_step_at_a_time(self, monkeypatch):
-        scenario = AGED_CASES["grid-across-block-seams"]()
-        want = emit_trace(run_scenario(scenario))
-        sizes = []
-        fold_block = scenario_module._fold_block
-
-        def spy(scenario, block):
-            sizes.append(len(block))
-            return fold_block(scenario, block)
-
-        monkeypatch.setattr(scenario_module, "_fold_block", spy)
         # above any one sum of a 4-atom fold (15 by 2 focals), below a block's
-        monkeypatch.setattr(combine_module, "MAX_PAIRS", 64)
-        assert emit_trace(run_scenario(scenario)) == want
-        assert sizes.count(scenario_module._BLOCK_STEPS) > 1 and 1 in sizes
+        calls = pair_capped_rounds(AGED_CASES["grid-across-block-seams"](), 64, monkeypatch)
+        refused = [i for i, (_, over) in enumerate(calls) if over]
+        assert refused and all(calls[i + 1] == (1, False) for i in refused)
+        assert [n for n, _ in calls].count(scenario_module._BLOCK_STEPS) > 1
 
     def test_aged_memory_is_flat_in_grid_length(self):
         short, long = _repeating_stream(200, 0.99), _repeating_stream(2000, 0.99)
@@ -836,7 +847,13 @@ class TestFoldGrouping:
     def test_rate_one_trace_equals_the_left_fold_trace(self, make, monkeypatch):
         scenario = make()
         two_stacks = emit_trace(run_scenario(scenario))
-        monkeypatch.setattr(scenario_module, "_fresh_windows", scenario_module._aged_windows)
+
+        def split_at_low_end(scenario, steps):
+            # each window a back alone: the left fold of its reports
+            bounds = scenario_module._window_bounds(scenario, steps)
+            return ((t, lo, lo, hi) for t, lo, hi in bounds)
+
+        monkeypatch.setattr(scenario_module, "_splits", split_at_low_end)
         assert emit_trace(run_scenario(scenario)) == two_stacks
 
     def test_near_total_conflict_window_is_the_exact_sum(self):
@@ -893,7 +910,7 @@ def _aggregate_hex(aggregate):
 def assert_matches_two_stacks(scenario: Scenario) -> None:
     """The rate-1 lockstep's window sums equal the pairwise two stacks' bit for bit."""
     steps = scenario_module._grid_steps(scenario)
-    got = list(scenario_module._fresh_windows(scenario, steps))
+    got = list(scenario_module._windows(scenario, steps))
     want = list(two_stacks_windows(scenario, scenario_module._window_bounds(scenario, steps)))
     assert [t for t, _ in got] == [t for t, _ in want]
     assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
@@ -940,7 +957,7 @@ FRESH_CASES = {
 def assert_aged_matches_pairwise_fold(scenario: Scenario) -> None:
     """The aged lockstep's window sums equal the pairwise left fold's bit for bit."""
     steps = scenario_module._grid_steps(scenario)
-    got = list(scenario_module._aged_windows(scenario, steps))
+    got = list(scenario_module._windows(scenario, steps))
     want = list(left_fold_windows(scenario, scenario_module._window_bounds(scenario, steps)))
     assert [t for t, _ in got] == [t for t, _ in want]
     assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
@@ -1027,20 +1044,9 @@ class TestRateOneLockstep:
 
     def test_a_round_over_the_pair_cap_folds_its_chains_one_at_a_time(self, monkeypatch):
         scenario = aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5)
-        want = emit_trace(run_scenario(scenario))
-        calls = []
-        sum_supports = scenario_module._sum_supports
-
-        def spy(step, bits, masses, focus, degree, *rest):
-            summed = sum_supports(step, bits, masses, focus, degree, *rest)
-            calls.append((degree.shape[0], summed is None))
-            return summed
-
-        monkeypatch.setattr(scenario_module, "_sum_supports", spy)
         # no one sum on 4 atoms pairs more (15 by 15 focals), but a round of
         # many chains does
-        monkeypatch.setattr(combine_module, "MAX_PAIRS", 225)
-        assert emit_trace(run_scenario(scenario)) == want
+        calls = pair_capped_rounds(scenario, 225, monkeypatch)
         refused = [i for i, (_, over) in enumerate(calls) if over]
         assert refused and all(calls[i + 1] == (1, False) for i in refused)
 
@@ -1052,7 +1058,7 @@ class TestRateOneLockstep:
         steps = scenario_module._grid_steps(scenario)
         tracemalloc.start()
         try:
-            assert sum(1 for _ in scenario_module._fresh_windows(scenario, steps)) == steps
+            assert sum(1 for _ in scenario_module._windows(scenario, steps)) == steps
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1074,14 +1080,9 @@ def rows_against_decide(scenario: Scenario) -> None:
     """
     rows = run_scenario(scenario)
     frame = scenario.frame
-    windows = (
-        scenario_module._fresh_windows
-        if scenario.discount_rate == 1.0
-        else scenario_module._aged_windows
-    )
     empty = vacuous(frame)
     threshold = scenario.conflict_threshold
-    steps = list(windows(scenario, len(rows)))
+    steps = list(scenario_module._windows(scenario, len(rows)))
     assert len(steps) == len(rows)
     for row, (t, fused) in zip(rows, steps):
         mass, retained = fused or (empty, 1.0)
