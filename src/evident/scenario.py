@@ -263,13 +263,12 @@ class _Chain:
     aged to at ``t``. ``sums`` keeps its aggregate at each length a step
     needs. While later steps of its split may still be read, a front chain
     also keeps every length below ``open_below``: those steps need shorter
-    suffixes, not yet known, that it may have passed. Between waves,
-    ``length`` and ``retained`` are those of the sum it goes on from; in a
-    wave, ``length`` is the one it began the wave at.
+    suffixes, not yet known, that it may have passed. A wave takes a chain
+    on from its longest sum kept, whose ``length`` it records.
     """
 
-    __slots__ = ("first", "sign", "t", "length", "target", "retained", "sums", "rows",
-                 "wanted", "open_below")
+    __slots__ = ("first", "sign", "t", "length", "target", "sums", "rows", "wanted",
+                 "open_below")
 
     def __init__(self, b: int, sign: int, t: float):
         self.first = b if sign > 0 else b - 1
@@ -277,7 +276,6 @@ class _Chain:
         self.t = t
         self.length = self.target = self.open_below = 0
         self.rows = 0  # of the sums kept
-        self.retained = 1.0
         self.sums: dict[int, _Aggregate] = {}
         self.wanted: set[int] = set()
 
@@ -319,8 +317,9 @@ class _Lockstep:
         self.rows = [np.zeros(0, np.int16), np.zeros(0, np.uint64), np.zeros(0)]
 
     def key(self, step: tuple):
-        """The split whose chains the step reads: one per step below rate 1."""
-        return step[2] if self.rate == 1.0 else step
+        """The split whose chains the step reads; below rate 1, the step's
+        time, which fixes its window."""
+        return step[2] if self.rate == 1.0 else step[0]
 
     def ahead(self, parts) -> int:
         """Rows held beyond the sums of a step's front, of its ``parts``, which
@@ -356,17 +355,18 @@ class _Lockstep:
             self.chains[self.last_key, -1].open_below = 0
         self.last_key = key
         t, lo, b, hi = step
-        lengths = ((-1, b - lo), (1, hi - b))
-        for sign, length in lengths:
+        parts = []
+        for sign, length in ((-1, b - lo), (1, hi - b)):
+            chain = self.chains.get((key, sign))
             if length:
-                chain = self.chains.get((key, sign))
                 if chain is None:
                     chain = self.chains[key, sign] = _Chain(b, sign, t)
                 chain.target = max(chain.target, length)
                 chain.wanted.add(length)
                 if sign < 0:
                     chain.open_below = length
-        return [(self.chains.get((key, sign)), length) for sign, length in lengths]
+            parts.append((chain, length))
+        return parts
 
     @staticmethod
     def ready(parts) -> bool:
@@ -402,20 +402,15 @@ class _Lockstep:
 
         Once the sums held ahead of the first waiting step, of ``head`` parts,
         reach ``_BLOCK_FOCALS``, only its chains fold: a wave of other chains
-        ends, each to go on later from its longest sum kept. A round above
-        ``combine.MAX_PAIRS`` sums its chains one at a time.
+        ends. A round above ``combine.MAX_PAIRS`` sums its chains one at a
+        time.
         """
-        mine = [chain for chain, _ in head]
         over = self.ahead(head) >= _BLOCK_FOCALS
+        mine = [chain for chain, _ in head] if over else []
         if over and any(c not in mine for c in self.folding):
-            for chain in self.folding:
-                chain.length = max(chain.sums, default=0)
-                chain.retained = chain.sums[chain.length][1] if chain.length else 1.0
             self.folding = []
         if not self.folding:
-            self.begin([
-                c for c in self.chains.values() if c.length < c.target and (c in mine or not over)
-            ])
+            self.begin([c for c in self.chains.values() if not over or c in mine])
         chains, j = self.folding, self.rounds
         focus, degree = self.supports(chains, j)
         step, bits, masses = self.rows
@@ -434,7 +429,7 @@ class _Lockstep:
         self.rounds = j = j + 1
         self.rows = [step, bits, masses]
         hits = np.flatnonzero(self.due == j).tolist()
-        cuts = np.searchsorted(step, [k + d for k in hits for d in (0, 1)]).tolist() if hits else ()
+        cuts = np.searchsorted(step, [k + d for k in hits for d in (0, 1)]).tolist()
         leaving = 0
         for k, a, b in zip(hits, cuts[::2], cuts[1::2]):
             chain = chains[k]
@@ -450,7 +445,6 @@ class _Lockstep:
             if j < self.ends[k]:
                 self.due[k] = chain.due(n) - chain.length
             else:
-                chain.length, chain.retained = n, float(self.retained[k])
                 leaving += 1
         if leaving:
             # the rows' head: copies when most rows leave, so that the wave
@@ -481,22 +475,27 @@ class _Lockstep:
         return focus, degree
 
     def begin(self, chains: list[_Chain]) -> None:
-        """Begin a wave of ``chains``, each from its last sum or the vacuous row."""
+        """Begin a wave of the ``chains`` short of their targets, each from its
+        longest sum kept or from the vacuous row."""
+        for chain in chains:
+            chain.length = max(chain.sums, default=0)
+        chains = sorted(
+            (c for c in chains if c.length < c.target), key=lambda c: c.length - c.target
+        )
         if not chains:
             raise AssertionError("a waiting step has no chain left to fold")
-        chains.sort(key=lambda c: c.length - c.target)
         empty = vacuous(self.frame)
-        starts = [chain.sums[chain.length][0] if chain.length else empty for chain in chains]
+        starts = [chain.sums[chain.length] if chain.length else (empty, 1.0) for chain in chains]
         # a contradicted chain has no rows
-        none = empty._bits[:0], empty._masses[:0]
-        starts = [none if m is None else (m._bits, m._masses) for m in starts]
+        rows = [(empty._bits[:0], empty._masses[:0]) if m is None else (m._bits, m._masses)
+                for m, _ in starts]
         ids = np.arange(len(chains), dtype=np.int16)
-        self.rows = [ids.repeat([len(bits) for bits, _ in starts])]
-        self.rows += [np.concatenate(column) for column in zip(*starts)]
+        self.rows = [ids.repeat([len(bits) for bits, _ in rows])]
+        self.rows += [np.concatenate(column) for column in zip(*rows)]
         self.folding, self.rounds = chains, 0
         self.ends = [c.target - c.length for c in chains]
         self.due = np.array([c.due(c.length) - c.length for c in chains])
-        self.retained = np.array([c.retained for c in chains])
+        self.retained = np.array([retained for _, retained in starts])
 
 
 def _windows(scenario: Scenario, steps: int):
@@ -528,7 +527,7 @@ def _windows(scenario: Scenario, steps: int):
             queued -= 1 + step[3] - step[2]
             later = waiting[0][1] if waiting else split and lockstep.key(split)
             yield step[0], lockstep.window(key, parts, later != key)
-        elif not waiting and split[1] == split[3] and (lockstep.key(split), -1) not in lockstep.chains:
+        elif not (waiting or split[1] < split[3] or (lockstep.key(split), -1) in lockstep.chains):
             # an empty window past the last sums of its split waits for nothing
             yield split[0], None
             split = next(splits, None)
@@ -537,7 +536,7 @@ def _windows(scenario: Scenario, steps: int):
                 waiting.append((split, lockstep.key(split), lockstep.need(split)))
                 queued += 1 + split[3] - split[2]
                 split = next(splits, None)
-            if not lockstep.ready(waiting[0][2]):
+            while not lockstep.ready(waiting[0][2]):
                 lockstep.advance(waiting[0][2])
 
 
