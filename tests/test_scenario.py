@@ -1050,6 +1050,15 @@ class TestRateOneLockstep:
         refused = [i for i, (_, over) in enumerate(calls) if over]
         assert refused and all(calls[i + 1] == (1, False) for i in refused)
 
+    @pytest.mark.parametrize("budget", [20, 200])
+    def test_waves_cut_short_by_the_focal_budget_keep_the_bits(self, budget, monkeypatch):
+        # past the budget a wave of other chains than the first waiting
+        # step's ends, and they go on later from their longest sums kept
+        monkeypatch.setattr(scenario_module, "_BLOCK_FOCALS", budget)
+        for make in (FRESH_CASES["halves-on-disjoint-atoms"], lambda: _fresh_seed(3)):
+            assert_matches_two_stacks(make())
+        assert_aged_matches_pairwise_fold(AGED_CASES["whole-frame-focus"]())
+
     def test_a_long_gap_is_not_read_ahead(self):
         # 20 000 empty windows after a report: none of them waits for a fold,
         # so none is held while the next is read
