@@ -15,6 +15,9 @@ import sys
 import tokenize
 from pathlib import Path
 
+# the nodes whose first statement may be a docstring
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
 # tokens that are not code
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -26,11 +29,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     """The lines of every module, class and function docstring."""
     lines: set[int] = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
-                    and isinstance(body[0].value.value, str):
-                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return lines
 
 
