@@ -28,7 +28,9 @@ intersection by one of two groupings, chosen from the input size alone:
   ``2**n_atoms`` bins directly, so no sort is needed. The pairs are made and
   added a chunk of whole leading rows at a time, at most ``_CHUNK_CELLS``
   pairs or one row, so the scratch is the bins and one chunk, never the
-  whole outer product;
+  whole outer product. A product that underflows to 0.0 still returns its
+  group, and the zeros are tracked only when the least product can
+  underflow: rounding is monotone, so when it does not, none does;
 - otherwise the masks are sorted into groups by a least-significant-digit
   radix sort: numpy's stable sort of 16-bit keys, over the mask 16 bits at a
   time, so a frame of up to 16 atoms takes one pass and a 64-atom frame four.
@@ -138,8 +140,11 @@ def combine_products(
         sums = np.zeros(bins)
         # a product can underflow to 0.0, and its group must still be
         # returned; products are non-negative, so a bin with a positive
-        # product has a positive sum
+        # product has a positive sum. Rounding is monotone, so no product is
+        # 0.0 when the least one is not: only then are the bins hit exactly
+        # the bins with a positive sum, and the zeros need no tracking
         held = np.zeros(bins, dtype=bool)
+        underflows = not float(w1.min()) * float(w2.min()) > 0.0
         rows = max(1, _CHUNK_CELLS // bits2.shape[0])
         for lo in range(0, bits1.shape[0], rows):
             # every mask is below 2**n_atoms <= pairs, so it fits an intp index
@@ -149,7 +154,8 @@ def combine_products(
             # row-major pairs, so each bin adds its products in the order one
             # bincount over the whole outer product would
             np.add.at(sums, index, prod)
-            held[index[prod == 0.0]] = True
+            if underflows:
+                held[index[prod == 0.0]] = True
         held |= sums > 0.0
         group_index = np.flatnonzero(held)
         return group_index.astype(np.uint64), sums[group_index]

@@ -33,8 +33,32 @@ from .errors import (
 from .frames import EvidentialInterval, Frame, Proposition
 
 # construction-time tolerance for the unit-total check; stored masses are
-# never silently renormalized
+# never silently renormalized. The check adds the masses with NumPy's sum
+# under an error bound, and re-adds them exactly with math.fsum only when the
+# bound cannot decide (_check_total)
 NORMALIZATION_TOL = 1e-9
+
+
+def _check_total(masses: np.ndarray) -> None:
+    """Raise :class:`NotNormalized` unless the exact total of ``masses`` is within tolerance.
+
+    ``masses`` are non-negative. Added in any order, n of them round to a
+    total t within (n - 1)u/(1 - (n - 1)u) of their exact sum s (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, 4.2),
+    u = 2**-53; fsum returns s rounded once more. The slack of n * 2.3e-16 * t,
+    about 2nu * t, covers both, so a total that passes here passes fsum too.
+    Anything else, NaN and inf included, is decided by fsum's total, which is
+    the one an error carries.
+    """
+    total = float(masses.sum())
+    if abs(total - 1.0) <= NORMALIZATION_TOL - masses.shape[0] * 2.3e-16 * total:
+        return
+    try:
+        total = math.fsum(masses.tolist())
+    except OverflowError:  # finite masses whose exact total is past the float range
+        total = math.inf
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(total)
 
 
 class MassFunction:
@@ -64,23 +88,27 @@ class MassFunction:
                 continue
             merged[prop.bits] = merged.get(prop.bits, 0.0) + mass
         bits = sorted(b for b, m in merged.items() if m > 0.0)
-        masses = [merged[b] for b in bits]
-        total = math.fsum(masses)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(total)
+        masses = np.array([merged[b] for b in bits], dtype=np.float64)
+        # finite masses from outside can add past the float range: NumPy's sum
+        # then reads inf without a warning, and fsum decides
+        with np.errstate(over="ignore"):
+            _check_total(masses)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_bits", np.array(bits, dtype=np.uint64))
-        object.__setattr__(self, "_masses", np.array(masses, dtype=np.float64))
+        object.__setattr__(self, "_masses", masses)
 
     def __setattr__(self, name, value):
         raise AttributeError("MassFunction is immutable")
 
     @classmethod
     def _from_arrays(cls, frame: Frame, bits: np.ndarray, masses: np.ndarray) -> MassFunction:
-        """Trusted fast path: ``bits`` sorted ascending, non-empty, masses > 0."""
-        total = math.fsum(masses.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(total)
+        """Trusted fast path: ``bits`` sorted ascending, non-empty, masses > 0.
+
+        The total is checked as in the constructor: NumPy's sum under an error
+        bound, and ``math.fsum``'s exact total only where the bound cannot
+        decide, so a refusal carries fsum's total.
+        """
+        _check_total(masses)
         self = object.__new__(cls)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_bits", bits)

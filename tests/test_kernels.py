@@ -54,6 +54,8 @@ def _assert_matches_the_oracle(got, bits1, w1, bits2, w2):
 @example(n_atoms=16, size1=320, size2=400, seed=1, dust=True, chunk_rows=None)
 @example(n_atoms=8, size1=64, size2=40, seed=2, dust=True, chunk_rows=1)
 @example(n_atoms=8, size1=64, size2=40, seed=3, dust=True, chunk_rows=3)  # a last chunk of 1 row
+# the fuse-dense benchmark's shape: one leading row and 5 000 pairs a chunk
+@example(n_atoms=16, size1=64, size2=5000, seed=4, dust=False, chunk_rows=None)
 def test_combine_products_matches_the_sorting_reference(
     n_atoms, size1, size2, seed, dust, chunk_rows
 ):
@@ -73,6 +75,19 @@ _UNDERFLOWS = [
     (([1, 3], [1e-200, 1e-200], [1, 2], [1e-200, 0.5]), [0, 1, 2], [5e-201, 0.0, 5e-201]),
     # group 2 gets only a product of 0.0, in a row after group 1's positive ones
     (([1, 2], [0.5, 1e-200], [1, 3], [0.5, 1e-200]), [0, 1, 2], [5e-201, 0.25, 0.0]),
+    # both operands are positive, and group 1 gets only the least product:
+    # 2**-1074, the least subnormal, so no product underflows; then 2**-1075,
+    # which rounds to 0.0
+    (
+        ([1, 2], [2.0**-537, 1.0], [1, 2], [2.0**-537, 1.0]),
+        [0, 1, 2],
+        [2.0**-536, 2.0**-1074, 1.0],
+    ),
+    (
+        ([1, 2], [2.0**-538, 1.0], [1, 2], [2.0**-537, 1.0]),
+        [0, 1, 2],
+        [2.0**-538 + 2.0**-537, 0.0, 1.0],
+    ),
 ]
 
 

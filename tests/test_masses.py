@@ -12,13 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evident import (
     EvidentialInterval,
     Frame,
     MassFunction,
+    Proposition,
     bayesian_from_probabilities,
     combine,
     mass_new,
@@ -99,6 +100,86 @@ class TestConstruction:
         )
         assert m.mass(lt_frame.proposition(["lake"])) == 0.3
         assert m.mass(lt_frame.full()) == 0.7
+
+    def test_masses_past_the_float_range_are_not_normalized(self, lt_frame):
+        # each mass is finite, their total is not; fsum overflows, NumPy's
+        # sum would warn
+        lake, tower = lt_frame.proposition(["lake"]), lt_frame.proposition(["tower"])
+        with pytest.raises(NotNormalized) as err:
+            mass_new(lt_frame, [(lake, 1e308), (tower, 1e308)])
+        assert err.value.total == math.inf
+
+
+def _near_tolerance(n, seed, side, ulps):
+    """n positive masses whose exact total is within about an ulp of
+    ``1 + side * NORMALIZATION_TOL``, moved by ``ulps`` of it."""
+    masses = np.random.default_rng(seed).random(n) + 0.5
+    edge = 1.0 + side * masses_module.NORMALIZATION_TOL
+    target = edge + ulps * math.ulp(edge)
+    masses *= target / math.fsum(masses.tolist())
+    big = int(masses.argmax())
+    for _ in range(3):
+        masses[big] += target - math.fsum(masses.tolist())
+    return masses
+
+
+# 15 atoms: room for 20 000 distinct focals
+_WIDE = Frame([f"a{i}" for i in range(15)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    side=st.sampled_from([-1, 1]),
+    ulps=st.integers(-64, 64),
+    poison=st.sampled_from([None, math.nan, math.inf]),
+)
+# NumPy's sum reads inside the tolerance, and fsum 1 ulp lower, outside it
+@example(n=12_000, seed=1, side=-1, ulps=-1, poison=None)
+@example(n=9, seed=7, side=-1, ulps=-1, poison=None)
+@example(n=20_000, seed=3, side=1, ulps=64, poison=None)
+@example(n=20_000, seed=3, side=1, ulps=-64, poison=math.inf)
+def test_the_total_check_decides_as_fsum_does(n, seed, side, ulps, poison):
+    masses = _near_tolerance(n, seed, side, ulps)
+    if poison is not None:
+        masses[seed % n] = poison
+    exact = math.fsum(masses.tolist())
+    bits = np.arange(1, n + 1, dtype=np.uint64)
+    builds = [lambda: MassFunction._from_arrays(_WIDE, bits, masses)]
+    if poison is None:
+        entries = [(Proposition(_WIDE, b), m) for b, m in enumerate(masses.tolist(), 1)]
+        builds.append(lambda: MassFunction(_WIDE, entries))
+    for build in builds:
+        if abs(exact - 1.0) > masses_module.NORMALIZATION_TOL:
+            with pytest.raises(NotNormalized) as err:
+                build()
+            assert err.value.total.hex() == exact.hex() and str(err.value) == (
+                f"masses total {exact!r}, expected 1.0"
+            )
+        else:
+            build()
+
+
+def test_the_total_check_allows_for_every_rounding_of_the_sum():
+    # below eight masses NumPy adds in turn, and each mass under half an ulp
+    # of the first rounds away: the sum reads 2 ulps below 1 + tolerance, the
+    # exact total is above it. An error slack that does not grow with the
+    # mass count would accept these masses
+    edge = 1.0 + masses_module.NORMALIZATION_TOL
+    ulp = math.ulp(edge)
+    masses = np.array([edge - 2 * ulp] + [math.nextafter(ulp / 2, 0.0)] * 6)
+    exact = math.fsum(masses.tolist())
+    assert exact > edge
+    frame = Frame(["a", "b", "c"])
+    entries = [(Proposition(frame, b), m) for b, m in enumerate(masses.tolist(), 1)]
+    for build in (
+        lambda: MassFunction._from_arrays(frame, np.arange(1, 8, dtype=np.uint64), masses),
+        lambda: MassFunction(frame, entries),
+    ):
+        with pytest.raises(NotNormalized) as err:
+            build()
+        assert err.value.total.hex() == exact.hex()
 
 
 class TestSimpleSupport:
