@@ -197,6 +197,7 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
             return None
         conflict, bits, masses = _pooled((bits, masses), support, n_atoms)
         return np.zeros(bits.shape[0], step.dtype), bits, masses, np.array([conflict])
+    dtype = step.dtype
     counts = np.bincount(step, minlength=degree.shape[0])
     full = np.uint64(full)
     # a support on the whole frame puts all its mass there (see
@@ -219,7 +220,7 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     live = ~empty & (sums > 0.0)
     step, bits, sums = step[live], bits[live], sums[live]
     scaled = sums / np.bincount(step, weights=sums, minlength=degree.shape[0])[step]
-    return step, bits, scaled, conflict
+    return step.astype(dtype), bits, scaled, conflict
 
 
 def _accumulator_leads(counts, focals, bits, masses, focus, degree, full):

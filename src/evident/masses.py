@@ -48,7 +48,7 @@ def _check_total(masses: np.ndarray) -> None:
     u = 2**-53; fsum returns s rounded once more. The slack of n * 2.3e-16 * t,
     about 2nu * t, covers both, so a total that passes here passes fsum too.
     Anything else, NaN and inf included, is decided by fsum's total, which is
-    the one an error carries.
+    the one an error carries; a NaN total is refused.
     """
     total = float(masses.sum())
     if abs(total - 1.0) <= NORMALIZATION_TOL - masses.shape[0] * 2.3e-16 * total:
@@ -57,7 +57,7 @@ def _check_total(masses: np.ndarray) -> None:
         total = math.fsum(masses.tolist())
     except OverflowError:  # finite masses whose exact total is past the float range
         total = math.inf
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalized(total)
 
 

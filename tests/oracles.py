@@ -120,7 +120,7 @@ def grouped_products_oracle(bits1, w1, bits2, w2):
     The one array-level reference here: it pins the exact arrays, bit for
     bit, that ``_kernels.combine_products`` must return on either grouping.
     It keeps ``np.unique`` on purpose, so that it stays independent of the
-    kernel's own radix grouping.
+    kernel's own sort.
     """
     inter = (bits1[:, None] & bits2[None, :]).ravel()
     prod = (w1[:, None] * w2[None, :]).ravel()

@@ -153,11 +153,19 @@ def test_combine_products_on_sixty_four_atoms_sorts(seed, size):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n_atoms=st.sampled_from([1, 3, 16, 17, 40, 64]),
-    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    n_atoms=st.sampled_from([1, 3, 12, 16, 17, 40, 57, 60, 64]),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=65),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n_atoms=64, sizes=[3, 1, 5], seed=0)
+# the key step * 2**n_atoms + mask at its width's edges: 16 bits, one stable
+# 16-bit argsort; 17 and 63 bits, one packed pass; 64 bits, the step as the
+# key's upper word
+@example(n_atoms=12, sizes=[2] * 16, seed=1)
+@example(n_atoms=12, sizes=[2] * 17, seed=2)
+@example(n_atoms=60, sizes=[3] * 8, seed=3)
+@example(n_atoms=60, sizes=[3] * 9, seed=4)
+@example(n_atoms=57, sizes=[1] * 65, seed=5)
 def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
     # each step's rows are that step's focals grouped with its support's, bit
     # for bit as the reference pools the support's products (support first)
@@ -168,7 +176,6 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
         for size in sizes
     ]
     steps = len(focals)
-    masses = [rng.random(f.shape[0]) for f in focals]
     focus = rng.integers(1, int(full), steps, dtype=np.uint64, endpoint=True)
     focus[::3] = full
     focus[1::4] = np.uint64(1) << np.uint64(n_atoms - 1)
@@ -176,27 +183,39 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
     degree[::4] = 0.0
     degree[2::5] = 1.0
     step = np.repeat(np.arange(steps, dtype=np.int16), [f.shape[0] for f in focals])
+    bits = np.concatenate(focals)
     _assert_support_rows_match_the_pairwise_reference(
-        step, focals, masses, focus, degree, n_atoms
+        step, bits, rng.random(bits.shape[0]), focus, degree, n_atoms
     )
 
 
-def _assert_support_rows_match_the_pairwise_reference(
-    step, focals, masses, focus, degree, n_atoms
-):
+def _assert_support_rows_match_the_pairwise_reference(step, bits, masses, focus, degree, n_atoms):
     full = np.uint64((1 << n_atoms) - 1)
-    got_step, got_bits, got_sums = K.support_products(
-        step, np.concatenate(focals), np.concatenate(masses), focus, degree, n_atoms
-    )
+    got_step, got_bits, got_sums = K.support_products(step, bits, masses, focus, degree, n_atoms)
     assert np.all(np.diff(got_step) >= 0)
-    for k in range(len(focals)):
-        mine = got_step == k
+    assert np.array_equal(np.unique(got_step), np.unique(step))
+    for k in np.unique(step).tolist():
+        mine, theirs = got_step == k, step == k
         want_bits, want_sums = grouped_products_oracle(
             np.array([focus[k], full]), np.array([degree[k], 1.0 - degree[k]]),
-            focals[k], masses[k],
+            bits[theirs], masses[theirs],
         )
-        assert np.array_equal(got_bits[mine], want_bits)
-        assert np.array_equal(got_sums[mine], want_sums)
+        assert got_bits[mine].tobytes() == want_bits.tobytes()
+        assert got_sums[mine].tobytes() == want_sums.tobytes()
+
+
+def test_support_rows_of_steps_on_one_mask_stay_apart():
+    # every step holds the whole frame, with a support on it: each step's
+    # products fall in one group on the whole frame, so only the step parts
+    # adjacent groups, in one word and as the upper word of a 64-atom key
+    rng = np.random.default_rng(0)
+    for n_atoms in (3, 16, 40, 64):
+        full = np.uint64((1 << n_atoms) - 1)
+        step = np.arange(5, dtype=np.int16)
+        bits, focus = np.full(5, full), np.full(5, full)
+        _assert_support_rows_match_the_pairwise_reference(
+            step, bits, rng.random(5), focus, rng.random(5), n_atoms
+        )
 
 
 def _seam_masks(rng, n_atoms, size):
@@ -224,19 +243,69 @@ def test_radix_passes_order_masks_that_differ_only_above_a_digit(n_atoms, seed):
     got = K.combine_products(bits1, w1, bits2, w2, n_atoms)
     _assert_matches_the_oracle(got, bits1, w1, bits2, w2)
     # two steps holding the same focals, each with its own support
-    focals = [np.unique(bits1)] * 2
-    masses = [rng.random(focals[0].shape[0]) for _ in focals]
+    focals = np.unique(bits1)
     focus = _seam_masks(rng, n_atoms, 2)
     focus[focus == 0] = np.uint64(1) << np.uint64(n_atoms - 1)
-    step = np.repeat(np.arange(2, dtype=np.int16), focals[0].shape[0])
+    step = np.repeat(np.arange(2, dtype=np.int16), focals.shape[0])
     _assert_support_rows_match_the_pairwise_reference(
-        step, focals, masses, focus, rng.random(2), n_atoms
+        step, np.tile(focals, 2), rng.random(step.shape[0]), focus, rng.random(2), n_atoms
     )
+
+
+def _above_digit_keys(rng, size, seams):
+    # Python ints that take one of two low parts, each under bit 16, and
+    # random bits at the seams: they agree in pairs below the lowest seam
+    low = rng.integers(1, 1 << 16, 2).tolist()
+    keys = [low[i] for i in rng.integers(0, 2, size).tolist()]
+    for b in seams:
+        keys = [k | x << b for k, x in zip(keys, rng.integers(0, 2, size).tolist())]
+    return keys
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_atoms=st.sampled_from([40, 64]), seed=st.integers(0, 2**32 - 1))
+@example(n_atoms=40, seed=0)
+@example(n_atoms=64, seed=0)
+def test_packed_passes_order_keys_that_differ_only_above_a_digit(n_atoms, seed):
+    # a key wider than 64 - p bits, p the bit length of the row count, is
+    # sorted a digit of 64 - p bits at a time. These keys, step * 2**n_atoms
+    # + mask, agree in pairs below the first digit's top bit and differ only
+    # there, at the second digit's lowest bit and at the key's top: 600 focals
+    # on 2**14 chains make 1 200 products, so p = 11, a digit holds 53 bits,
+    # and the 54- and 78-bit keys take two passes
+    rng = np.random.default_rng(seed)
+    rows, chains = 600, 1 << 14
+    digit = 64 - (2 * rows).bit_length()
+    width = n_atoms + (chains - 1).bit_length()
+    assert digit < width <= 2 * digit
+    # the keys repeat: a step's duplicate focals add into one group, in row
+    # order
+    keys = sorted(_above_digit_keys(rng, rows, (digit - 1, digit, width - 1)))
+    step = np.array([k >> n_atoms for k in keys], np.int16)
+    bits = np.array([k & ((1 << n_atoms) - 1) for k in keys], np.uint64)
+    full = (1 << n_atoms) - 1
+    focus = rng.integers(1, full, chains, dtype=np.uint64, endpoint=True)
+    focus[::3] = full
+    degree = rng.random(chains)
+    degree[::4] = 0.0
+    _assert_support_rows_match_the_pairwise_reference(
+        step, bits, rng.random(rows), focus, degree, n_atoms
+    )
+    # one sum of 40 by 50 focals: 2 000 products, so p = 11 again, and a
+    # 64-atom mask takes two passes
+    seams = [b for b in (digit - 1, digit, n_atoms - 1) if b < n_atoms]
+    bits1, bits2 = (
+        np.array(_above_digit_keys(rng, size, seams), np.uint64) for size in (40, 50)
+    )
+    w1, w2 = rng.random(40), rng.random(50)
+    assert (40 * 50).bit_length() == 64 - digit
+    got = K.combine_products(bits1, w1, bits2, w2, n_atoms)
+    _assert_matches_the_oracle(got, bits1, w1, bits2, w2)
 
 
 def test_sorted_sums_free_the_rows_they_move():
     # the products' masks and masses are 16 bytes a pair, and the sort moves
-    # them a pass at a time, freeing what it moved: 34 bytes a pair at peak on
+    # them a pass at a time, freeing what it moved: 33 bytes a pair at peak on
     # 16 and on 64 atoms, and about 50 if the unsorted rows stayed alive
     rng = np.random.default_rng(0)
     for n_atoms, size in ((16, 200), (64, 300)):
@@ -244,14 +313,19 @@ def test_sorted_sums_free_the_rows_they_move():
         assert size * size < 1 << n_atoms  # the sort branch
         peak = _traced_peak(lambda: K.combine_products(bits1, w1, bits2, w2, n_atoms))
         assert peak < 44 * size * size
-    # a lockstep round of 64 steps of 4 000 focals: 72 bytes a focal at peak,
-    # and about 106 if the unsorted rows stayed alive
+    # a lockstep round of 64 steps of 4 000 focals: 66 bytes a focal at peak
+    # on 16 atoms, and about 106 if the unsorted rows stayed alive; 70 on 64
+    # atoms, whose keys take two passes, where five radix passes peaked at 74
     step = np.repeat(np.arange(64, dtype=np.int16), 4000)
-    bits = rng.integers(1, 1 << 16, step.shape[0], dtype=np.uint64)
-    masses, focus = rng.random(step.shape[0]), rng.integers(1, 1 << 16, 64, dtype=np.uint64)
-    degree = rng.random(64)
-    peak = _traced_peak(lambda: K.support_products(step, bits, masses, focus, degree, 16))
-    assert peak < 88 * step.shape[0]
+    masses, degree = rng.random(step.shape[0]), rng.random(64)
+    for n_atoms, bound in ((16, 88), (64, 74)):
+        full = (1 << n_atoms) - 1
+        bits = rng.integers(1, full, step.shape[0], dtype=np.uint64, endpoint=True)
+        focus = rng.integers(1, full, 64, dtype=np.uint64, endpoint=True)
+        peak = _traced_peak(
+            lambda: K.support_products(step, bits, masses, focus, degree, n_atoms)
+        )
+        assert peak < bound * step.shape[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -140,6 +140,7 @@ _WIDE = Frame([f"a{i}" for i in range(15)])
 @example(n=9, seed=7, side=-1, ulps=-1, poison=None)
 @example(n=20_000, seed=3, side=1, ulps=64, poison=None)
 @example(n=20_000, seed=3, side=1, ulps=-64, poison=math.inf)
+@example(n=9, seed=7, side=1, ulps=0, poison=math.nan)
 def test_the_total_check_decides_as_fsum_does(n, seed, side, ulps, poison):
     masses = _near_tolerance(n, seed, side, ulps)
     if poison is not None:
@@ -151,7 +152,8 @@ def test_the_total_check_decides_as_fsum_does(n, seed, side, ulps, poison):
         entries = [(Proposition(_WIDE, b), m) for b, m in enumerate(masses.tolist(), 1)]
         builds.append(lambda: MassFunction(_WIDE, entries))
     for build in builds:
-        if abs(exact - 1.0) > masses_module.NORMALIZATION_TOL:
+        # a NaN total is refused too: no comparison with it holds
+        if not abs(exact - 1.0) <= masses_module.NORMALIZATION_TOL:
             with pytest.raises(NotNormalized) as err:
                 build()
             assert err.value.total.hex() == exact.hex() and str(err.value) == (

@@ -1303,3 +1303,13 @@ class TestEmitTrace:
         assert emit_trace(run_scenario(scenario)) == (
             DATA / "lake_tower_golden.csv"
         ).read_text()
+
+    @pytest.mark.parametrize("name", ["wide_40", "wide_40_aged"])
+    def test_forty_atom_golden_traces(self, name):
+        # a 40-atom stream (gen.replay_scenario, 120 reports) at rates 1 and
+        # 0.99: its sorted sums take keys wider than 16 bits, and its goldens
+        # were printed by the 16-bit radix grouping that the packed sort
+        # replaced, so they catch a fault in the sort that the wide-frame
+        # references, which call the same kernels, would share
+        scenario = load_scenario((DATA / f"{name}.json").read_text())
+        assert emit_trace(run_scenario(scenario)) == (DATA / f"{name}_golden.csv").read_text()
