@@ -169,7 +169,12 @@ def _sum(a: _Aggregate, b: _Aggregate) -> _Aggregate:
     return MassFunction._from_arrays(a[0].frame, bits, masses), a[1] * b[1] * (1.0 - conflict)
 
 
-def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
+def _pairs_left(held: int) -> int:
+    """The focal pairs that sums may still make beside ``held`` rows kept."""
+    return MAX_PAIRS - held
+
+
+def _sum_supports(step, bits, masses, focus, degree, n_atoms: int):
     """:func:`combine` of many accumulators at once, each with a simple support.
 
     The accumulators are flat rows, ascending by step and then by mask, as
@@ -183,18 +188,14 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     so no later support can revive it: total conflict is absorbing.
 
     Returns (step, bits, masses, conflict per accumulator). One sum above
-    ``MAX_PAIRS`` focal pairs raises :class:`CombinationTooLarge`; when the
-    pairs of all the sums and the ``held`` rows the caller keeps elsewhere
-    together exceed it, nothing is summed and None is returned, so that the
-    caller sums fewer accumulators at a time.
+    ``MAX_PAIRS`` focal pairs raises :class:`CombinationTooLarge`; how many
+    sums to make at once is the caller's to bound.
     """
     full = (1 << n_atoms) - 1
     if degree.shape[0] == 1:
         # one sum: combine's own products, without the sorts that group many
         support = _support_rows(int(focus[0]), float(degree[0]), full)
         _check_pairs(bits.shape[0], support[0].shape[0])
-        if bits.shape[0] * support[0].shape[0] + held > MAX_PAIRS:
-            return None
         conflict, bits, masses = _pooled((bits, masses), support, n_atoms)
         return np.zeros(bits.shape[0], step.dtype), bits, masses, np.array([conflict])
     dtype = step.dtype
@@ -204,11 +205,8 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int, held: int):
     # _support_rows); one of degree 0 or 1 has one focal
     degree = np.where(focus == full, 1.0, degree)
     focals = np.where((degree == 0.0) | (degree == 1.0), 1, 2)
-    pairs = counts * focals
-    worst = int(np.argmax(pairs))
+    worst = int(np.argmax(counts * focals))
     _check_pairs(int(counts[worst]), int(focals[worst]))
-    if int(pairs.sum()) + held > MAX_PAIRS:
-        return None
     step, bits, sums = _kernels.support_products(
         step, bits, masses, focus, degree, n_atoms, _accumulator_leads(
             counts, focals, bits, masses, focus, degree, full

@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from ._jsonutil import number, of_type, parse_document, require
-from .combine import _CONTRADICTED, _Aggregate, _sum, _sum_supports
+from .combine import _CONTRADICTED, _Aggregate, _pairs_left, _sum, _sum_supports
 from .decide import DecisionStatus, _check_outcome, _decide_block
 from .errors import (
     DegreeOutOfRange,
@@ -65,11 +65,14 @@ _GRID_EPS = 1e-9
 # a replay with a longer step grid is refused rather than walked
 MAX_GRID_STEPS = 1_000_000
 
-# steps the replay decides at once, and chains it folds in lockstep. More
-# take fewer rounds in all but hold more rows at once: on 16 atoms and
-# 40-report windows, a 64-step fold peaks at about 0.5 MB traced and adds
-# 0.7 MB to peak RSS, a 128-step one adds 1.3 MB, near the benchmark's 5 %
-# bound, for no measured gain
+# steps the replay decides at once; it reads ahead and folds in lockstep up
+# to twice as many chains. A wider wave takes fewer rounds, each with a fixed
+# cost, and its rows stay within combine.MAX_PAIRS however many chains it
+# holds (see _Lockstep.advance). 128 chains fold the benchmark's aged replay
+# in 80 rounds, not 160, about 11 % faster; 256 gained no more. Deciding 128
+# steps at once gained about 3 % more, but then a 2 000-step rate-1 replay
+# held 42 % more above its rows than a 200-step one, against 27 % (in-process
+# pairs, and tracemalloc after gc.collect(); a shared 2-vCPU x86 machine)
 _BLOCK_STEPS = 64
 
 # focals the replay decides at once: a block closes early once its windows
@@ -296,7 +299,8 @@ class _Lockstep:
     :func:`combine._sum_supports` takes them. A wave orders its chains by
     the rounds they take to their targets as it begins, most first, so that
     the chains that reach them leave from the rows' tail; a chain that a
-    later step needs longer goes on in a later wave.
+    later step needs longer, or that a wave ends before its target (see
+    :meth:`advance`), goes on in a later wave from its longest sum kept.
     """
 
     def __init__(self, scenario: Scenario):
@@ -313,7 +317,7 @@ class _Lockstep:
         self.ends: list[int] = []
         self.due = np.zeros(0, np.intp)
         self.retained = np.zeros(0)
-        # chains index the rows in int16: they number at most _BLOCK_STEPS + 1
+        # chains index the rows in int16: they number at most 2 * _BLOCK_STEPS + 1
         self.rows = [np.zeros(0, np.int16), np.zeros(0, np.uint64), np.zeros(0)]
 
     def key(self, step: tuple):
@@ -333,13 +337,13 @@ class _Lockstep:
 
         Reading on pays only while the last step read still waits for a
         chain to fold, so that the next may fold beside it. The chains stay
-        within a block's steps, and the rows held ahead of the first waiting
+        within two blocks' steps, and the rows held ahead of the first waiting
         step plus the ``queued`` steps and their reports within
         ``_BLOCK_FOCALS``.
         """
         return (
             not self.ready(waiting[-1][2])
-            and len(self.chains) < _BLOCK_STEPS
+            and len(self.chains) < 2 * _BLOCK_STEPS
             and self.ahead(waiting[0][2]) + queued < _BLOCK_FOCALS
         )
 
@@ -400,31 +404,35 @@ class _Lockstep:
     def advance(self, head) -> None:
         """Fold a round of the wave, beginning one if none is folding.
 
-        Once the sums held ahead of the first waiting step, of ``head`` parts,
-        reach ``_BLOCK_FOCALS``, only its chains fold: a wave of other chains
-        ends. A round above ``combine.MAX_PAIRS`` sums its chains one at a
-        time.
+        The chains of the first waiting step, of ``head`` parts, always fold;
+        one sum above ``combine.MAX_PAIRS`` pairs raises
+        :class:`CombinationTooLarge`. The wave's other chains fold while the
+        sums held ahead of that step stay under ``_BLOCK_FOCALS``, and while
+        the round's pairs, counted as two a row, and the rows of the sums held
+        come to at most ``combine.MAX_PAIRS``. Past either, the wave ends at
+        the chains that fit, taken in its order, so that its rows stay within
+        one capped round; the rest go on in a later wave.
         """
+        mine = [chain for chain, _ in head]
         over = self.ahead(head) >= _BLOCK_FOCALS
-        mine = [chain for chain, _ in head] if over else []
-        if over and any(c not in mine for c in self.folding):
-            self.folding = []
         if not self.folding:
             self.begin([c for c in self.chains.values() if not over or c in mine])
         chains, j = self.folding, self.rounds
+        room = -1 if over else _pairs_left(self.held)
+        if 2 * len(self.rows[0]) > room and any(c not in mine for c in chains):
+            pairs = 2 * np.bincount(self.rows[0], minlength=len(chains))
+            keep = np.array([c in mine for c in chains])
+            keep |= np.cumsum(np.where(keep, 0, pairs)) <= room - pairs[keep].sum()
+            kept = keep[self.rows[0]]
+            ids = (np.cumsum(keep) - 1).astype(np.int16)
+            self.rows = [ids[self.rows[0][kept]]] + [a[kept] for a in self.rows[1:]]
+            self.folding = chains = [c for c, k in zip(chains, keep) if k]
+            self.ends = [e for e, k in zip(self.ends, keep) if k]
+            self.due, self.retained = self.due[keep], self.retained[keep]
+            if not chains:
+                return
         focus, degree = self.supports(chains, j)
-        step, bits, masses = self.rows
-        n_atoms = len(self.frame)
-        summed = _sum_supports(step, bits, masses, focus, degree, n_atoms, self.held)
-        if summed is None:
-            cuts = np.searchsorted(step, np.arange(1, len(chains)))
-            parts = [
-                _sum_supports(*rows, focus[k:k + 1], degree[k:k + 1], n_atoms, 0)
-                for k, rows in enumerate(zip(*(np.split(a, cuts) for a in self.rows)))
-            ]
-            ids = np.arange(len(chains), dtype=np.int16).repeat([p[1].shape[0] for p in parts])
-            summed = [ids] + [np.concatenate(column) for column in list(zip(*parts))[1:]]
-        step, bits, masses, conflict = summed
+        step, bits, masses, conflict = _sum_supports(*self.rows, focus, degree, len(self.frame))
         self.retained *= 1.0 - conflict
         self.rounds = j = j + 1
         self.rows = [step, bits, masses]
@@ -505,16 +513,18 @@ def _windows(scenario: Scenario, steps: int):
     The chains of prefix or suffix sums that the steps read so far need fold
     in lockstep (see :class:`_Lockstep`): each round sums every chain of the
     wave with its next report, in one :func:`combine._sum_supports` call, so
-    a chain sums each of its reports once. A step is yielded once its sums
+    a chain sums each of its reports once, but for the reports past its
+    longest sum kept when a wave ends early. A step is yielded once its sums
     are there, as one ``_sum(front, back)`` when it has both. Steps are read
     ahead while the last one read waits for a fold, the chains number fewer
-    than ``_BLOCK_STEPS``, and the rows of the sums held plus the waiting
+    than ``2 * _BLOCK_STEPS``, and the rows of the sums held plus the waiting
     steps and the reports in their backs come to under ``_BLOCK_FOCALS``
     (see :meth:`_Lockstep.reads_on`); once the sums held reach that, only
     the chains of the first waiting step fold. Neither counts the front sums
     of the first waiting step, which the pairwise two stacks hold too, so
-    memory stays flat in the length of the grid. A round above
-    ``combine.MAX_PAIRS`` folds its chains one at a time.
+    memory stays flat in the length of the grid. A wave whose round and
+    sums held would pass ``combine.MAX_PAIRS`` ends at the chains that fit
+    beside the first waiting step's (see :meth:`_Lockstep.advance`).
     """
     lockstep = _Lockstep(scenario)
     splits = _splits(scenario, steps)

@@ -400,7 +400,7 @@ class TestExactSum:
         assert masses[0] + masses[1] > 1.0
         step, bits, scaled, conflict = combine_module._sum_supports(
             np.zeros(3, np.int16), np.array([0b001, 0b100, 0b111], np.uint64), masses,
-            np.array([0b010], np.uint64), np.array([1.0]), 3, 0,
+            np.array([0b010], np.uint64), np.array([1.0]), 3,
         )
         assert conflict.tolist() == [1.0]
         assert (step.tolist(), bits.tolist(), scaled.tolist()) == ([0], [0b010], [1.0])
@@ -475,7 +475,7 @@ class TestLockstepSum:
         bits = np.concatenate([m._bits for m in live] or [np.zeros(0, np.uint64)])
         masses = np.concatenate([m._masses for m in live] or [np.zeros(0)])
         got_step, got_bits, got_masses, got_conflict = combine_module._sum_supports(
-            step, bits, masses, np.array(focus, np.uint64), np.array(degree), len(frame), 0
+            step, bits, masses, np.array(focus, np.uint64), np.array(degree), len(frame)
         )
         for k, acc in enumerate(accumulators):
             mine = got_step == k
@@ -531,7 +531,7 @@ class TestLockstepSum:
             step, bits, masses, conflict = combine_module._sum_supports(
                 np.arange(count, dtype=np.int16), np.full(count, full, np.uint64),
                 np.ones(count), np.full(count, focus, np.uint64), np.full(count, degree),
-                n_atoms, 0,
+                n_atoms,
             )
             assert _hex(conflict) == [0.0.hex()] * count
             for k in range(count):

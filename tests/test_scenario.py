@@ -13,6 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -551,22 +552,62 @@ AGED_CASES = {
 }
 
 
-def pair_capped_rounds(scenario: Scenario, cap: int, monkeypatch) -> list[tuple[int, bool]]:
-    """(chains, refused) of each lockstep round of a replay under a pair cap of
-    ``cap``, whose trace must equal the uncapped replay's."""
-    want = emit_trace(run_scenario(scenario))
-    calls = []
+def pair_capped_rounds(scenario: Scenario, cap: int, monkeypatch):
+    """The lockstep rounds of a replay, uncapped and then under a pair cap of
+    ``cap``, whose traces must be equal. A round is (chains, its pairs at two
+    a row plus the rows of the sums held, whether only the chains of the first
+    waiting step fold)."""
+    calls, head = [], []
+    advance = scenario_module._Lockstep.advance
     sum_supports = scenario_module._sum_supports
 
-    def spy(step, bits, masses, focus, degree, *rest):
-        summed = sum_supports(step, bits, masses, focus, degree, *rest)
-        calls.append((degree.shape[0], summed is None))
-        return summed
+    def spy_advance(lockstep, parts):
+        head[:] = [lockstep, [chain for chain, _ in parts]]
+        return advance(lockstep, parts)
 
+    def spy(step, bits, masses, focus, degree, *rest):
+        lockstep, mine = head
+        alone = all(chain in mine for chain in lockstep.folding)
+        calls.append((degree.shape[0], 2 * step.shape[0] + lockstep.held, alone))
+        return sum_supports(step, bits, masses, focus, degree, *rest)
+
+    monkeypatch.setattr(scenario_module._Lockstep, "advance", spy_advance)
     monkeypatch.setattr(scenario_module, "_sum_supports", spy)
+    want = emit_trace(run_scenario(scenario))
+    uncapped = calls[:]
+    calls.clear()
     monkeypatch.setattr(combine_module, "MAX_PAIRS", cap)
     assert emit_trace(run_scenario(scenario)) == want
-    return calls
+    return uncapped, calls
+
+
+def assert_waves_end_at_the_cap(scenario: Scenario, cap: int, monkeypatch) -> None:
+    """Under a pair cap of ``cap`` a round that passes it folds only the first
+    waiting step's chains, though uncapped rounds pass it; other rounds fold
+    more than one chain at a time, so no wave splits into its chains."""
+    uncapped, capped = pair_capped_rounds(scenario, cap, monkeypatch)
+    assert max(size for _, size, _ in uncapped) > cap
+    assert all(size <= cap or alone for _, size, alone in capped)
+    assert len(capped) > len(uncapped)
+    assert max(chains for chains, size, _ in capped if size <= cap) > 1
+
+
+def probe_stream(n_atoms: int, width: int) -> Scenario:
+    """``width`` reports 1 s apart, report i on the frame less atom i mod
+    ``n_atoms``, then ``width`` on the whole frame, in a ``width``-s window at
+    rate 0.99: once a window holds ``n_atoms`` of the first reports, its sum
+    holds every non-empty subset of the frame."""
+    rng = random.Random(5)
+    frame = Frame([f"a{i:02d}" for i in range(n_atoms)])
+    full = (1 << n_atoms) - 1
+    reports = tuple(
+        SensorReport(
+            "s", float(i), frame.from_bits(full ^ (1 << i % n_atoms) if i < width else full),
+            rng.uniform(0.3, 0.6),
+        )
+        for i in range(2 * width)
+    )
+    return Scenario(frame, reports, window=float(width), step=1.0, discount_rate=0.99)
 
 
 def _repeating_stream(steps: int, rate: float) -> Scenario:
@@ -683,12 +724,49 @@ class TestReplayProperties:
             checked += len(want)
         assert checked > 3000
 
-    def test_block_over_the_pair_cap_folds_one_step_at_a_time(self, monkeypatch):
-        # above any one sum of a 4-atom fold (15 by 2 focals), below a block's
-        calls = pair_capped_rounds(AGED_CASES["grid-across-block-seams"](), 64, monkeypatch)
-        refused = [i for i, (_, over) in enumerate(calls) if over]
-        assert refused and all(calls[i + 1] == (1, False) for i in refused)
-        assert [n for n, _ in calls].count(scenario_module._BLOCK_STEPS) > 1
+    def test_a_wave_over_the_pair_cap_ends_at_the_chains_that_fit(self, monkeypatch):
+        # above any one sum of a 4-atom fold (15 by 2 focals), below a wave's
+        assert_waves_end_at_the_cap(AGED_CASES["grid-across-block-seams"](), 64, monkeypatch)
+
+    def test_a_wave_holds_one_capped_round_not_every_chain(self, monkeypatch):
+        # 80 steps of 12-atom windows of up to 4 095 focals, each a chain of
+        # its own, under a cap of four such chains: a wave that held every
+        # chain's rows, as one that sums an over-cap round a chain at a time
+        # and joins the results, peaks at about 10 times one capped round
+        cap = 1 << 15
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", cap)
+        full = (1 << 12) - 1
+        step = np.repeat(np.arange(4, dtype=np.int16), full)
+        bits = np.tile(np.arange(1, full + 1, dtype=np.uint64), 4)
+        assert 2 * bits.shape[0] <= cap
+        tracemalloc.start()
+        try:
+            combine_module._sum_supports(
+                step, bits, np.full(bits.shape[0], 1 / full), np.full(4, full ^ 1, np.uint64),
+                np.full(4, 0.5), 12,
+            )
+            one_round = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _peak_above_rows(probe_stream(12, 40)) <= 3 * one_round
+
+    def test_benchmark_replays_fold_in_waves_of_many_chains(self, monkeypatch):
+        # seed 1's aged replay: 200 steps, each a chain of its own, in two
+        # waves of up to 2 * _BLOCK_STEPS chains and 40 rounds each; its rate-1
+        # twin takes 40 rounds in all
+        calls = []
+        sum_supports = scenario_module._sum_supports
+
+        def spy(*args):
+            calls.append(1)
+            return sum_supports(*args)
+
+        monkeypatch.setattr(scenario_module, "_sum_supports", spy)
+        run_scenario(_aged_seed(1))
+        assert len(calls) <= 80
+        calls.clear()
+        run_scenario(_fresh_seed(1))
+        assert len(calls) == 40
 
     def test_aged_memory_is_flat_in_grid_length(self):
         short, long = _repeating_stream(200, 0.99), _repeating_stream(2000, 0.99)
@@ -1042,13 +1120,20 @@ class TestRateOneLockstep:
         assert emit_trace(rows) == want
         assert 0 < len(sums) <= len(rows)
 
-    def test_a_round_over_the_pair_cap_folds_its_chains_one_at_a_time(self, monkeypatch):
+    def test_a_round_over_the_pair_cap_keeps_the_chains_that_fit(self, monkeypatch):
         scenario = aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5)
         # no one sum on 4 atoms pairs more (15 by 15 focals), but a round of
-        # many chains does
-        calls = pair_capped_rounds(scenario, 225, monkeypatch)
-        refused = [i for i, (_, over) in enumerate(calls) if over]
-        assert refused and all(calls[i + 1] == (1, False) for i in refused)
+        # many chains and the sums held do
+        assert_waves_end_at_the_cap(scenario, 225, monkeypatch)
+
+    def test_waves_cut_short_by_the_pair_cap_keep_the_bits(self, monkeypatch):
+        # past the cap a wave ends at the chains that fit, and the others go
+        # on later from their longest sums kept; at rate 1 the cap must hold
+        # a step's pairwise sum of front and back
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", 225)
+        assert_matches_two_stacks(aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5))
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", 64)
+        assert_aged_matches_pairwise_fold(AGED_CASES["grid-across-block-seams"]())
 
     @pytest.mark.parametrize("budget", [20, 200])
     def test_waves_cut_short_by_the_focal_budget_keep_the_bits(self, budget, monkeypatch):
