@@ -123,42 +123,37 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
     within ``TIE_TOL`` of the top one. The winner and the ranking's order
     among equal beliefs follow frame order.
 
-    This is :func:`_decide_block` at one step, the rule and the sums the
-    replay applies to a block of steps at once.
+    This is :func:`_decide_block` at one step, the rule the replay applies
+    to a block of steps at once.
     """
     conflict_threshold = number(
         conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
     )
-    of_type(report, CombinationReport, "decided report")
-    bel, (intervals,), ((status, reason, hypothesis),) = _decide_block(
-        [report.result], [report.conflict], conflict_threshold
+    m = of_type(report, CombinationReport, "decided report").result
+    step = np.zeros(len(m), dtype=np.intp)
+    bel, pl = _singleton_bounds(m.frame, step, m._bits, m._masses, 1)
+    (intervals,), ((status, reason, hypothesis),) = _decide_block(
+        m.frame, bel, pl, [report.conflict], conflict_threshold
     )
-    atoms = report.result.frame.atoms
+    atoms = m.frame.atoms
     ranking = tuple(
         (atoms[i], intervals[i]) for i in np.argsort(-bel[0], kind="stable").tolist()
     )
     return Decision(status, hypothesis, reason, ranking, report.conflict)
 
 
-def _decide_block(fused: list[MassFunction], conflicts: list[float], threshold: float):
-    """Every atom's interval and the decision rule at each step of a block.
+def _decide_block(frame, bel: np.ndarray, pl: np.ndarray, conflicts: list[float], threshold: float):
+    """The decision rule at each step of a block, applied to all at once.
 
-    Step k is the fused mass function ``fused[k]`` with the cumulative
-    conflict ``conflicts[k]``, a degree; the steps share one frame. Every
-    atom's belief and plausibility at every step comes from one
-    :func:`masses._singleton_bounds` call, and the rule is applied to all of
-    them at once. Returns (bel, intervals, verdicts): the (steps, atoms)
-    belief array, each step's intervals in frame order, and each step's
-    (status, reason, hypothesis).
+    Step k has every atom's belief ``bel[k]`` and plausibility ``pl[k]`` on
+    ``frame``, as :func:`masses._singleton_bounds` gives them for a fused
+    mass function, and the cumulative conflict ``conflicts[k]``, a degree.
+    Returns (intervals, verdicts): each step's intervals in frame order, and
+    each step's (status, reason, hypothesis).
     """
-    frame = fused[0].frame
-    step = np.repeat(np.arange(len(fused)), [len(m) for m in fused])
-    bits = np.concatenate([m._bits for m in fused])
-    masses = np.concatenate([m._masses for m in fused])
-    bel, pl = _singleton_bounds(frame, step, bits, masses, len(fused))
     # argmax takes the first of equal beliefs, the atom a stable ranking puts first
     best = bel.argmax(axis=1)
-    top = bel[np.arange(len(fused)), best]
+    top = bel[np.arange(len(conflicts)), best]
     rivals = np.arange(len(frame)) != best[:, None]
     runner_up = bel.max(axis=1, where=rivals, initial=-np.inf)
     widest_rival = pl.max(axis=1, where=rivals, initial=-np.inf)
@@ -174,4 +169,4 @@ def _decide_block(fused: list[MassFunction], conflicts: list[float], threshold: 
         else:
             status = DecisionStatus.DECIDED if is_dominant else DecisionStatus.LEANING
             verdicts.append((status, None, frame.atoms[winner]))
-    return bel, _intervals(bel, pl), verdicts
+    return _intervals(bel, pl), verdicts

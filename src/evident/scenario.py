@@ -14,17 +14,20 @@ in the window when its low end last passed the split, and a back, the
 reports since. Each is read off a chain: a running sum from the vacuous
 aggregate, one report at a time. At rate 1 a report's support does not
 change with age, so the steps of a split share its front and back chains,
-and a step takes one pairwise combine of the two. Below rate 1 every support
-ages between steps, and discounting does not distribute over the orthogonal
-sum, so every window is a back alone, a chain of its own at the degrees its
-reports have aged to at its step. Which reports a chain sums follows from
-the window bounds alone, so the chains the waiting steps need fold in
-lockstep, one vectorised call a round, rather than one combine per report.
+and a step with both is decided from the focal pairs of the two, without
+their sum. Below rate 1 every support ages between steps, and discounting
+does not distribute over the orthogonal sum, so every window is a back
+alone, a chain of its own at the degrees its reports have aged to at its
+step. Which reports a chain sums follows from the window bounds alone, so
+the chains the waiting steps need fold in lockstep, one vectorised call a
+round, rather than one combine per report.
 
 The steps are decided a block at a time: every atom's interval at every
-step of the block comes from one kernel call, and the decision rule is
-applied to the whole block at once, as :func:`decide.decide` applies it to
-one step. A block holds a bounded number of steps and of focals.
+step of the block comes from one kernel call over its windows' sides, and
+one more over the front x back pairs of its two-sided windows (see
+:func:`_block_bounds`), and the decision rule is applied to the whole block
+at once, as :func:`decide.decide` applies it to one step. A block holds a
+bounded number of steps and of focals.
 
 Runs are batch replays: fold order is pinned (time, then sensor id) and
 there is no hidden randomness, so a rerun is byte-identical.
@@ -33,15 +36,16 @@ there is no hidden randomness, so a rerun is byte-identical.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from . import _kernels
 from ._jsonutil import number, of_type, parse_document, require
-from .combine import _CONTRADICTED, _Aggregate, _pairs_left, _sum, _sum_supports
+from .combine import _CONTRADICTED, _Aggregate, _check_pairs, _leads, _pairs_left, _sum_supports
 from .decide import DecisionStatus, _check_outcome, _decide_block
 from .errors import (
     DegreeOutOfRange,
@@ -56,7 +60,7 @@ from .errors import (
     UnsortedReports,
 )
 from .frames import EvidentialInterval, Frame, Proposition
-from .masses import MassFunction, vacuous
+from .masses import MassFunction, _singleton_bounds, vacuous
 
 # slack of the step grid, so t0 + k*step lands on the last report and on a
 # window's edges
@@ -264,10 +268,11 @@ class _Chain:
     A back chain sums reports b, b+1, ... in order and a front chain b-1,
     b-2, ..., as the two stacks sum them, each report at the degree it has
     aged to at ``t``. ``sums`` keeps its aggregate at each length a step
-    needs. While later steps of its split may still be read, a front chain
-    also keeps every length below ``open_below``: those steps need shorter
-    suffixes, not yet known, that it may have passed. A wave takes a chain
-    on from its longest sum kept, whose ``length`` it records.
+    needs, and ``wanted`` lists those lengths, ascending. While later
+    steps of its split may still be read, a front chain also keeps every
+    length below ``open_below``: those steps need shorter suffixes, not yet
+    known, that it may have passed. A wave takes a chain on from its longest
+    sum kept, whose ``length`` it records.
     """
 
     __slots__ = ("first", "sign", "t", "length", "target", "sums", "rows", "wanted",
@@ -280,12 +285,12 @@ class _Chain:
         self.length = self.target = self.open_below = 0
         self.rows = 0  # of the sums kept
         self.sums: dict[int, _Aggregate] = {}
-        self.wanted: set[int] = set()
+        self.wanted: list[int] = []
 
     def due(self, length: int) -> int:
         """The first length past ``length`` whose sum a step may need."""
         n = length + 1
-        return n if n < self.open_below else min(w for w in self.wanted if w >= n)
+        return n if n < self.open_below else self.wanted[bisect_left(self.wanted, n)]
 
 
 class _Lockstep:
@@ -366,7 +371,7 @@ class _Lockstep:
                 if chain is None:
                     chain = self.chains[key, sign] = _Chain(b, sign, t)
                 chain.target = max(chain.target, length)
-                chain.wanted.add(length)
+                insort(chain.wanted, length)
                 if sign < 0:
                     chain.open_below = length
             parts.append((chain, length))
@@ -378,28 +383,36 @@ class _Lockstep:
         (front, n_front), (back, n_back) = parts
         return (not n_front or n_front in front.sums) and (not n_back or n_back in back.sums)
 
-    def window(self, key, parts, last: bool) -> _Aggregate | None:
-        """The aggregate of a step's window, None when empty, from its split's
-        ``key`` and its ``parts``; the sums later steps need stay.
+    def window(self, key, parts, last: bool) -> tuple[_Aggregate, ...]:
+        """The sides of a step's window, from its split's ``key`` and its
+        ``parts``: the aggregates of its front and its back, of those it has,
+        or a contradicted one alone when either is. The sums later steps
+        need stay.
 
-        Fronts shrink and backs grow from step to step, so a later step of
-        the split needs no longer front and no shorter back; after the
-        ``last`` step of its split, neither chain is needed.
+        Two sides of more than ``combine.MAX_PAIRS`` focal pairs raise
+        :class:`CombinationTooLarge`, as their orthogonal sum would. Fronts
+        shrink and backs grow from step to step, so a later step of the split
+        needs no longer front and no shorter back; after the ``last`` step of
+        its split, neither chain is needed.
         """
         (front, n_front), (back, n_back) = parts
-        aggs = [chain.sums[n] for chain, n in parts if n]
+        sides = tuple(chain.sums[n] for chain, n in parts if n)
         for chain, stale in ((front, n_front.__lt__), (back, n_back.__gt__)):
-            for n in [n for n in chain.sums if last or stale(n)] if chain else ():
+            for n in list(chain.sums if last else filter(stale, chain.sums)) if chain else ():
                 mass = chain.sums.pop(n)[0]
-                rows = 0 if mass is None else len(mass)
+                rows = 0 if mass is None else mass._bits.shape[0]
                 chain.rows -= rows
                 self.held -= rows
         if last:
             self.chains.pop((key, -1), None)
             self.chains.pop((key, 1), None)
-        if len(aggs) == 2:
-            return _sum(*aggs)
-        return aggs[0] if aggs else None
+        if len(sides) < 2:
+            return sides
+        (front, _), (back, _) = sides
+        if front is None or back is None:
+            return (_CONTRADICTED,)
+        _check_pairs(front._bits.shape[0], back._bits.shape[0])
+        return sides
 
     def advance(self, head) -> None:
         """Fold a round of the wave, beginning one if none is folding.
@@ -442,7 +455,7 @@ class _Lockstep:
         for k, a, b in zip(hits, cuts[::2], cuts[1::2]):
             chain = chains[k]
             n = chain.length + j
-            if n in chain.wanted or n < chain.open_below:
+            if chain.due(n - 1) == n:
                 # copies, so that a sum holds none of the round's rows
                 chain.sums[n] = _CONTRADICTED if a == b else (
                     MassFunction._from_arrays(self.frame, bits[a:b].copy(), masses[a:b].copy()),
@@ -507,7 +520,7 @@ class _Lockstep:
 
 
 def _windows(scenario: Scenario, steps: int):
-    """(t, window aggregate or None when empty) per step.
+    """(t, the sides of its window) per step (see :meth:`_Lockstep.window`).
 
     The window is the sum of its front and its back (see :func:`_splits`).
     The chains of prefix or suffix sums that the steps read so far need fold
@@ -515,7 +528,8 @@ def _windows(scenario: Scenario, steps: int):
     wave with its next report, in one :func:`combine._sum_supports` call, so
     a chain sums each of its reports once, but for the reports past its
     longest sum kept when a wave ends early. A step is yielded once its sums
-    are there, as one ``_sum(front, back)`` when it has both. Steps are read
+    are there, and a step with both is decided from the two (see
+    :func:`_block_bounds`). Steps are read
     ahead while the last one read waits for a fold, the chains number fewer
     than ``2 * _BLOCK_STEPS``, and the rows of the sums held plus the waiting
     steps and the reports in their backs come to under ``_BLOCK_FOCALS``
@@ -539,7 +553,7 @@ def _windows(scenario: Scenario, steps: int):
             yield step[0], lockstep.window(key, parts, later != key)
         elif not (waiting or split[1] < split[3] or (lockstep.key(split), -1) in lockstep.chains):
             # an empty window past the last sums of its split waits for nothing
-            yield split[0], None
+            yield split[0], ()
             split = next(splits, None)
         else:
             while split and (not waiting or lockstep.reads_on(waiting, queued)):
@@ -561,48 +575,106 @@ def run_scenario(scenario: Scenario) -> list[TraceRow]:
     conflict is clamped at 1. So a window fuses however near 1 its conflict,
     and its row does not depend on how the window's fold is grouped. Total
     conflict at a step is recorded on the row (vacuous intervals, conflict
-    1) and the run continues. Each row is what
-    :func:`decide` makes of its step's fused window, decided a block of
-    steps at a time (see :func:`_blocks`). A window whose fold
+    1) and the run continues. Each row is what :func:`decide` makes of its
+    step's fused window, decided a block of steps at a time (see
+    :func:`_blocks`); a window of a front and a back is decided from the
+    two, without their sum (see :func:`_block_bounds`). A window whose fold
     needs a combine above ``combine.MAX_PAIRS`` refuses the whole run with
     :class:`CombinationTooLarge`.
     """
     if not of_type(scenario, Scenario, "scenario").reports:
         return []
-    atoms = scenario.frame.atoms
-    empty = vacuous(scenario.frame)
+    frame = scenario.frame
     steps = _grid_steps(scenario)
     rows: list[TraceRow] = []
     for block in _blocks(_windows(scenario, steps)):
-        # an empty window is vacuous; a contradicted one has conflict 1, which
-        # the rule reports as high conflict under any threshold
-        aggregates = [agg or (empty, 1.0) for _, agg in block]
-        fused = [empty if mass is None else mass for mass, _ in aggregates]
-        conflicts = [1.0 - retained for _, retained in aggregates]
-        _, intervals, verdicts = _decide_block(fused, conflicts, scenario.conflict_threshold)
+        bel, pl, conflicts = _block_bounds(frame, [sides for _, sides in block])
+        intervals, verdicts = _decide_block(frame, bel, pl, conflicts, scenario.conflict_threshold)
         # a verdict is (status, reason, hypothesis), the row's last fields
         for (t, _), conflict, cells, verdict in zip(block, conflicts, intervals, verdicts):
-            rows.append(TraceRow(t, tuple(zip(atoms, cells)), conflict, *verdict))
+            rows.append(TraceRow(t, tuple(zip(frame.atoms, cells)), conflict, *verdict))
     return rows
 
 
-def _blocks(fused_steps):
-    """The (t, window aggregate) steps in blocks to decide at once.
+def _blocks(windows):
+    """The (t, window sides) steps in blocks to decide at once.
 
-    A block closes after ``_BLOCK_STEPS`` steps, or earlier once its windows
-    hold ``_BLOCK_FOCALS`` focals, so it holds fewer than that many plus one
-    window's.
+    A block closes after ``_BLOCK_STEPS`` steps, or earlier once its windows'
+    sides hold ``_BLOCK_FOCALS`` focals, so it holds fewer than that many
+    plus one window's. A window with no focals counts as the one it is
+    decided on.
     """
     block: list = []
     focals = 0
-    for t, fused in fused_steps:
-        block.append((t, fused))
-        focals += len(fused[0]) if fused and fused[0] is not None else 1
+    for t, sides in windows:
+        block.append((t, sides))
+        focals += sum([mass._bits.shape[0] for mass, _ in sides if mass is not None]) or 1
         if len(block) == _BLOCK_STEPS or focals >= _BLOCK_FOCALS:
             yield block
             block, focals = [], 0
     if block:
         yield block
+
+
+def _block_bounds(frame: Frame, windows: list):
+    """(bel, pl, conflicts) of a block's steps, each given by its window's sides.
+
+    bel and pl are (steps, atoms) arrays, as :func:`decide._decide_block`
+    takes them. A window of one side is decided on its sum, and an empty or
+    a contradicted one as vacuous, with conflict 0 or 1: the rule reports
+    conflict 1 as high under any threshold. A window of a front
+    F and a back B is decided from their focal pairs, without their sum:
+
+    - the conflict k and the mass on exactly atom a, m(a), are the products'
+      sums on the empty set and on {a}, which ``combine._sum(F, B)`` groups
+      to the same bits (see :func:`_kernels.class_products`), so the
+      conflict column keeps its bits;
+    - T, the products' mass on every non-empty set, is the singletons' sums
+      and then the rest's, added in that order: never 1 - k, which cancels
+      when k is near 1. bel(a) = m(a) / T;
+    - singleton plausibility is singleton commonality, which the orthogonal
+      sum multiplies (Shafer, *A Mathematical Theory of Evidence*, 1976), so
+      pl(a) = pl_F(a) pl_B(a) / T, clamped at 1 and raised to bel(a) where
+      rounding puts it below.
+
+    A window with no positive product on a non-empty set is contradicted.
+    Every side's bounds come from one :func:`masses._singleton_bounds` call,
+    each two-sided window's back at a step past the block.
+    """
+    n = len(windows)
+    empty = vacuous(frame)
+    conflicts = [1.0 - sides[0][1] if len(sides) == 1 else 0.0 for sides in windows]
+    two = [k for k, sides in enumerate(windows) if len(sides) == 2]
+    # a step's first side, or the vacuous sum; then each two-sided step's back
+    masses = [empty if not sides or sides[0][0] is None else sides[0][0] for sides in windows]
+    masses += [windows[k][1][0] for k in two]
+    step = np.repeat(np.arange(len(masses)), [mass._bits.shape[0] for mass in masses])
+    bits = np.concatenate([mass._bits for mass in masses])
+    weights = np.concatenate([mass._masses for mass in masses])
+    bel, pl = _singleton_bounds(frame, step, bits, weights, len(masses))
+    del step, bits, weights
+    if two:
+        operands = []
+        for k in two:
+            pair = [(mass._bits, mass._masses) for mass, _ in windows[k]]
+            # combine._pooled's operand order
+            operands.append(pair if _leads(*pair) else pair[::-1])
+        sums = _kernels.class_products(operands, len(frame))
+        # added in order: the singletons, then the rest
+        total = np.bincount(
+            np.repeat(np.arange(len(two)), len(frame) + 1), weights=sums[:, 1:].ravel()
+        )
+        live = total > 0.0
+        scale = np.where(live, total, 1.0)[:, None]
+        fused_bel = sums[:, 1:-1] / scale
+        fused_pl = np.maximum(fused_bel, np.minimum(pl[two] * pl[n:] / scale, 1.0))
+        bel[two] = np.where(live[:, None], fused_bel, 0.0)
+        pl[two] = np.where(live[:, None], fused_pl, 1.0)
+        front_back = np.array([windows[k][0][1] * windows[k][1][1] for k in two])
+        retained = np.where(live, front_back * (1.0 - np.minimum(sums[:, 0], 1.0)), 0.0)
+        for k, r in zip(two, retained.tolist()):
+            conflicts[k] = 1.0 - r
+    return bel[:n], pl[:n], conflicts
 
 
 def _status_label(row: TraceRow) -> str:

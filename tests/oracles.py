@@ -6,7 +6,8 @@ independent route to the same value. The exceptions are
 :func:`grouped_products_oracle`, which pins a kernel's exact output arrays,
 :func:`decide_oracle`, the decision rule as a loop over the atoms, and
 :class:`TwoStacks` and :func:`left_fold_windows`, the replays' window sums
-one pairwise combine at a time.
+one pairwise combine at a time, and :func:`two_sided_bounds`, the
+reduction that decides a rate-1 window from its front and back sums.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from evident import (
     simple_support,
     vacuous,
 )
-from evident.combine import _sum
+from evident.combine import _leads, _sum
 from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
 
 
@@ -182,15 +183,55 @@ class TwoStacks:
             self._back = []
             self._back_sum = None
 
-    def total(self):
-        """The window's sum; None when it holds no support."""
-        if self._front and self._back_sum is not None:
-            return _sum(self._front[-1], self._back_sum)
-        return self._front[-1] if self._front else self._back_sum
+    def sides(self):
+        """The window's front and back sums, of those it has: an empty
+        window has none. A contradicted one stands alone when either is, as
+        their sum is then contradicted."""
+        sides = tuple(s for s in (self._front[-1] if self._front else None, self._back_sum) if s)
+        if any(mass is None for mass, _ in sides):
+            return ((None, 0.0),)
+        return sides
+
+
+def two_sided_bounds(front, back):
+    """(bel, pl, retained) of a window of ``front`` and ``back`` sums, without their sum.
+
+    Each is a (mass function, retained) aggregate. The front x back focal
+    pairs go one at a time in ``combine._leads`` order, row by row, and each
+    product is added to the sum of the empty set, of its singleton, or of
+    the rest. T adds the singletons' sums and then the rest's;
+    bel(a) = m(a) / T and pl(a) = max(bel(a), min(pl_F(a) * pl_B(a) / T, 1)),
+    with each side's pl its ``MassFunction.plausibility``. The retained mass
+    is ``combine._sum``'s. None when no product lands on a non-empty set.
+    """
+    (m1, r1), (m2, r2) = front, back
+    frame = m1.frame
+    a, b = (m1, m2) if _leads((m1._bits, m1._masses), (m2._bits, m2._masses)) else (m2, m1)
+    empty, rest, singles = 0.0, 0.0, [0.0] * len(frame)
+    for x, u in zip(a._bits.tolist(), a._masses.tolist()):
+        for y, v in zip(b._bits.tolist(), b._masses.tolist()):
+            meet = x & y
+            if not meet:
+                empty += u * v
+            elif meet & (meet - 1):
+                rest += u * v
+            else:
+                singles[meet.bit_length() - 1] += u * v
+    total = 0.0
+    for mass in singles + [rest]:
+        total += mass
+    if not total > 0.0:
+        return None
+    bel = [mass / total for mass in singles]
+    pl = [
+        max(b_a, min(m1.plausibility(p) * m2.plausibility(p) / total, 1.0))
+        for b_a, p in zip(bel, map(frame.singleton, frame.atoms))
+    ]
+    return bel, pl, r1 * r2 * (1.0 - min(empty, 1.0))
 
 
 def two_stacks_windows(scenario, bounds):
-    """(t, window aggregate or None when empty) per (t, lo, hi) of ``bounds``.
+    """(t, the window's sides, as :meth:`TwoStacks.sides`) per (t, lo, hi) of ``bounds``.
 
     The rate-1 replay's windows, each report a :func:`simple_support` pushed
     once and evicted once.
@@ -202,7 +243,7 @@ def two_stacks_windows(scenario, bounds):
         for r in scenario.reports[max(new_lo, hi):new_hi]:
             window.push(simple_support(scenario.frame, r.focus, r.degree))
         lo, hi = new_lo, new_hi
-        yield t, window.total()
+        yield t, window.sides()
 
 
 def left_fold_windows(scenario, bounds):

@@ -367,3 +367,84 @@ def test_atom_sums_cells_match_the_one_target_sums(n_atoms, sizes, seed, chunk_c
             assert bel[k, a] == (float(exact[0]) if exact.shape[0] else 0.0)
             assert bel[k, a] == K.belief_sum(bits[mine], masses[mine], atom)
             assert pl[k, a] == K.plausibility_sum(bits[mine], masses[mine], atom)
+
+
+def _class_sums_reference(operands, n_atoms):
+    """class_products one pair at a time in Python: each step's rows in
+    order, each row's pairs in order, each product added to its class."""
+    out = []
+    for (bits1, w1), (bits2, w2) in operands:
+        sums = [0.0] * (n_atoms + 2)
+        for x, u in zip(bits1.tolist(), w1.tolist()):
+            for y, v in zip(bits2.tolist(), w2.tolist()):
+                meet = x & y
+                if not meet:
+                    sums[0] += u * v
+                elif meet & (meet - 1):
+                    sums[n_atoms + 1] += u * v
+                else:
+                    sums[meet.bit_length()] += u * v
+        out.append([s.hex() for s in sums])
+    return out
+
+
+def _class_operands(rng, n_atoms, sizes):
+    # each side's distinct masks, a third of them singletons
+    def side(size):
+        bits = np.concatenate([
+            rng.integers(1, 1 << n_atoms, size - size // 3, dtype=np.uint64, endpoint=False),
+            np.uint64(1) << rng.integers(0, n_atoms, size // 3, dtype=np.uint64),
+        ])
+        return bits, rng.random(bits.shape[0])
+
+    return [(side(size1), side(size2)) for size1, size2 in sizes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_atoms=st.sampled_from([1, 3, 16, 17, 40, 64]),
+    sizes=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    chunk_cells=st.sampled_from([1, 7, 50, K._CHUNK_CELLS]),
+)
+# chunks that end inside a step, and a row longer than a chunk
+@example(n_atoms=16, sizes=[(5, 9), (30, 30), (1, 2)], seed=0, chunk_cells=50)
+@example(n_atoms=64, sizes=[(30, 30)], seed=1, chunk_cells=7)
+def test_class_products_add_each_class_in_pair_order(n_atoms, sizes, seed, chunk_cells):
+    operands = _class_operands(np.random.default_rng(seed), n_atoms, sizes)
+    with mock.patch.object(K, "_CHUNK_CELLS", chunk_cells):
+        got = K.class_products(operands, n_atoms)
+    assert got.shape == (len(sizes), n_atoms + 2)
+    assert [[s.hex() for s in row] for row in got.tolist()] == _class_sums_reference(
+        operands, n_atoms
+    )
+    # the empty set's and the singletons' are the orthogonal sum's groups
+    for row, (a, b) in zip(got.tolist(), operands):
+        for mask, total in zip(*[g.tolist() for g in K.combine_products(*a, *b, n_atoms)]):
+            if not mask & (mask - 1):
+                assert row[mask.bit_length()] == total
+
+
+def test_class_products_on_bit_63():
+    # NumPy 1.x casts uint64 with a Python int to float64, where 2**63 and
+    # 2**63 + 1 are one value: the kernel must keep its mask arithmetic in
+    # uint64 to tell the singleton {a63} from {a0, a63}
+    top = 1 << 63
+    bits1 = np.array([top, top | 1, top | (1 << 62), (1 << 64) - 1], np.uint64)
+    bits2 = np.array([top | 1, top, 1, (1 << 64) - 1, 2], np.uint64)
+    w1, w2 = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.05, 0.15, 0.2, 0.25, 0.35])
+    operands = [((bits1, w1), (bits2, w2))]
+    got = K.class_products(operands, 64)
+    assert [[s.hex() for s in row] for row in got.tolist()] == _class_sums_reference(operands, 64)
+    assert got[0, 64] > 0.0 and got[0, 1] > 0.0 and got[0, 65] > 0.0
+    masks = np.array([0, 1, top, top | 1, top >> 1, (1 << 64) - 1], np.uint64)
+    assert K._classes(masks, 64).tolist() == [0, 1, 64, 65, 63, 65]
+
+
+def test_mask_classes_by_table_and_by_exponent_agree():
+    # up to 16 atoms a mask's class is looked up, past it computed
+    masks = np.arange(1 << 12, dtype=np.uint64)
+    want = [0 if not m else m.bit_length() if not m & (m - 1) else 13 for m in range(1 << 12)]
+    assert K._classes(masks, 12).tolist() == want
+    wide = K._classes(masks, 17).tolist()
+    assert wide == [18 if c == 13 else c for c in want]

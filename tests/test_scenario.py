@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -38,6 +39,7 @@ from evident import (
 from evident import scenario as scenario_module
 from evident.decide import HIGH_CONFLICT, TIE, TIE_TOL
 from evident.errors import (
+    CombinationTooLarge,
     DegreeOutOfRange,
     EmptyFocus,
     EmptyTrace,
@@ -61,12 +63,14 @@ from .oracles import (
     fold_products,
     left_fold_windows,
     pl_oracle,
+    two_sided_bounds,
     two_stacks_windows,
 )
 
 DATA = Path(__file__).parent / "data"
 
 combine_module = importlib.import_module("evident.combine")
+kernels_module = importlib.import_module("evident._kernels")
 masses_module = importlib.import_module("evident.masses")
 
 
@@ -680,7 +684,7 @@ class TestReplayProperties:
         want = emit_trace(run_scenario(scenario))
         monkeypatch.setattr(masses_module, "simple_support", refuse)
         monkeypatch.setattr(combine_module, "combine", refuse)
-        monkeypatch.setattr(scenario_module, "_sum", refuse)
+        monkeypatch.setattr(combine_module, "_sum", refuse)
         assert emit_trace(run_scenario(scenario)) == want
 
     @pytest.mark.parametrize(
@@ -977,8 +981,6 @@ class TestFoldGrouping:
 
 def _aggregate_hex(aggregate):
     """A window aggregate with every float as hex, so equality is bit for bit."""
-    if aggregate is None:
-        return None
     mass, retained = aggregate
     if mass is None:
         return "contradicted", retained.hex()
@@ -986,12 +988,15 @@ def _aggregate_hex(aggregate):
 
 
 def assert_matches_two_stacks(scenario: Scenario) -> None:
-    """The rate-1 lockstep's window sums equal the pairwise two stacks' bit for bit."""
+    """The rate-1 lockstep's front and back sums equal the pairwise two
+    stacks' bit for bit, at every step."""
     steps = scenario_module._grid_steps(scenario)
     got = list(scenario_module._windows(scenario, steps))
     want = list(two_stacks_windows(scenario, scenario_module._window_bounds(scenario, steps)))
     assert [t for t, _ in got] == [t for t, _ in want]
-    assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
+    assert [[_aggregate_hex(a) for a in sides] for _, sides in got] == [
+        [_aggregate_hex(a) for a in sides] for _, sides in want
+    ]
 
 
 def _fresh_seed(seed: int, window: float = 20.0) -> Scenario:
@@ -1033,12 +1038,15 @@ FRESH_CASES = {
 
 
 def assert_aged_matches_pairwise_fold(scenario: Scenario) -> None:
-    """The aged lockstep's window sums equal the pairwise left fold's bit for bit."""
+    """The aged lockstep's window sums equal the pairwise left fold's bit for
+    bit: each window is one side, its back, or none when empty."""
     steps = scenario_module._grid_steps(scenario)
     got = list(scenario_module._windows(scenario, steps))
     want = list(left_fold_windows(scenario, scenario_module._window_bounds(scenario, steps)))
     assert [t for t, _ in got] == [t for t, _ in want]
-    assert [_aggregate_hex(a) for _, a in got] == [_aggregate_hex(a) for _, a in want]
+    assert [[_aggregate_hex(a) for a in sides] for _, sides in got] == [
+        [_aggregate_hex(a)] if a else [] for _, a in want
+    ]
 
 
 def _aged_seed(seed: int, rate: float = 0.99) -> Scenario:
@@ -1101,24 +1109,30 @@ class TestRateOneLockstep:
         assert len(flips) > 5
 
     def test_calls_no_simple_support_and_one_pairwise_sum_per_step(self, monkeypatch):
+        # a step of a front and a back sums their focal pairs' products once,
+        # as one operand pair of its block's class_products call, and builds
+        # no orthogonal sum
         def refuse(*args):
-            raise AssertionError("the rate-1 replay builds no supports")
+            raise AssertionError("the rate-1 replay builds no supports and no fused window")
 
         scenario = _fresh_seed(2)
         want = emit_trace(run_scenario(scenario))
-        sums = []
-        pairwise = scenario_module._sum
+        steps = scenario_module._grid_steps(scenario)
+        two_sided = sum(len(sides) == 2 for _, sides in scenario_module._windows(scenario, steps))
+        pairs = []
+        class_products = kernels_module.class_products
 
-        def spy(a, b):
-            sums.append(1)
-            return pairwise(a, b)
+        def spy(operands, n_atoms):
+            pairs.extend(operands)
+            return class_products(operands, n_atoms)
 
         monkeypatch.setattr(masses_module, "simple_support", refuse)
         monkeypatch.setattr(combine_module, "combine", refuse)
-        monkeypatch.setattr(scenario_module, "_sum", spy)
+        monkeypatch.setattr(combine_module, "_sum", refuse)
+        monkeypatch.setattr(kernels_module, "class_products", spy)
         rows = run_scenario(scenario)
         assert emit_trace(rows) == want
-        assert 0 < len(sums) <= len(rows)
+        assert 0 < len(pairs) == two_sided <= len(rows)
 
     def test_a_round_over_the_pair_cap_keeps_the_chains_that_fit(self, monkeypatch):
         scenario = aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5)
@@ -1134,6 +1148,15 @@ class TestRateOneLockstep:
         assert_matches_two_stacks(aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5))
         monkeypatch.setattr(combine_module, "MAX_PAIRS", 64)
         assert_aged_matches_pairwise_fold(AGED_CASES["grid-across-block-seams"]())
+
+    def test_a_window_over_the_pair_cap_is_refused(self, monkeypatch):
+        # every sum a chain keeps pairs at most 15 by 2 focals with its next
+        # report, but one window's front and back pair 104 focals, which
+        # refuses the run as their orthogonal sum would
+        monkeypatch.setattr(combine_module, "MAX_PAIRS", 100)
+        scenario = aged_stream(6, 4, 400, 0.5, 5.0, 1.0, step=0.5)
+        with pytest.raises(CombinationTooLarge, match="makes 104 focal pairs, above the cap of 100"):
+            run_scenario(scenario)
 
     @pytest.mark.parametrize("budget", [20, 200])
     def test_waves_cut_short_by_the_focal_budget_keep_the_bits(self, budget, monkeypatch):
@@ -1164,13 +1187,46 @@ class TestRateOneLockstep:
         run_scenario(short)
         assert _peak_above_rows(long) <= 1.25 * _peak_above_rows(short)
 
+    def test_long_two_sided_windows_keep_bel_within_pl(self):
+        # pl(a) = pl_F(a) pl_B(a) / T can round a few ulps below bel(a) =
+        # m(a) / T: unraised, it read 0.9999999999999949 against a bel of
+        # 0.9999999999999957 on seed 1, and the row's interval was refused
+        for seed in range(1, 21):
+            for row in run_scenario(_fresh_seed(seed, window=80.0)):
+                for _, interval in row.intervals:
+                    assert 0.0 <= interval.support <= interval.plausibility <= 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: load_scenario((DATA / "wide_40.json").read_text()),
+            lambda: dataclasses.replace(AGED_CASES["64-atoms-foci-on-bit-63"](), discount_rate=1.0),
+        ],
+        ids=["wide-40", "64-atoms-foci-on-bit-63"],
+    )
+    def test_wide_frames_classify_singletons_exactly(self, make):
+        # past 16 atoms a pair's class is read off frexp's exponent of its
+        # intersection, not off a table; its singleton sums must still be the
+        # Python loop's, on windows whose pairs do meet on singletons
+        scenario = make()
+        assert len(scenario.frame) > 16 and scenario.discount_rate == 1.0
+        rows_against_decide(scenario)
+        steps = scenario_module._grid_steps(scenario)
+        windows = scenario_module._windows(scenario, steps)
+        bounds = [two_sided_bounds(*sides) for _, sides in windows if len(sides) == 2]
+        assert any(b and max(b[0]) > 0.0 for b in bounds)
+
 
 def rows_against_decide(scenario: Scenario) -> None:
     """Assert each replay row equals ``decide`` on its step's fused window.
 
-    The window aggregates come from the replay's own window generators, one
-    step at a time; ``decide`` weighs each alone, and the rule as a loop over
-    the atoms (``decide_oracle``) checks ``decide``.
+    The window's sides come from the replay's own window generators, one
+    step at a time, and a front and a back are fused here by
+    ``combine._sum``; ``decide`` weighs each window alone, and the rule as a
+    loop over the atoms (``decide_oracle``) checks ``decide``. The row's
+    conflict, status, reason and hypothesis are ``decide``'s exactly. Its
+    intervals are too, but for a window of a front and a back, decided
+    without their sum: those are ``two_sided_bounds`` of the two, bit for bit.
     """
     rows = run_scenario(scenario)
     frame = scenario.frame
@@ -1178,13 +1234,20 @@ def rows_against_decide(scenario: Scenario) -> None:
     threshold = scenario.conflict_threshold
     steps = list(scenario_module._windows(scenario, len(rows)))
     assert len(steps) == len(rows)
-    for row, (t, fused) in zip(rows, steps):
+    for row, (t, sides) in zip(rows, steps):
+        fused = combine_module._sum(*sides) if len(sides) == 2 else (sides or [None])[0]
         mass, retained = fused or (empty, 1.0)
         report = CombinationReport(empty if mass is None else mass, 1.0 - retained)
         decision = decide(report, threshold)
         ranked = dict(decision.ranking)
         assert row.time == t
-        assert row.intervals == tuple((a, ranked[a]) for a in frame.atoms)
+        if len(sides) == 2:
+            bounds = two_sided_bounds(*sides)
+            bel, pl, kept = bounds or ([0.0] * len(frame), [1.0] * len(frame), 0.0)
+            want = tuple(zip(frame.atoms, map(EvidentialInterval, bel, pl)))
+            assert row.intervals == want and row.cumulative_conflict == 1.0 - kept
+        else:
+            assert row.intervals == tuple((a, ranked[a]) for a in frame.atoms)
         assert (row.cumulative_conflict, row.status, row.reason, row.hypothesis) == (
             decision.cumulative_conflict,
             decision.status,
@@ -1298,16 +1361,20 @@ class TestReplayDecides:
         monkeypatch.setattr(scenario_module, "_BLOCK_STEPS", 4)
         monkeypatch.setattr(scenario_module, "_BLOCK_FOCALS", 5)
         frame = Frame(["lake", "tower", "ridge", "clear"])
-        two = (simple_support(frame, frame.singleton("lake"), 0.5), 1.0)
-        eleven = (MassFunction(frame, [(frame.from_bits(b), 1 / 11) for b in range(1, 12)]), 1.0)
+        two = ((simple_support(frame, frame.singleton("lake"), 0.5), 1.0),)
+        eleven = ((MassFunction(frame, [(frame.from_bits(b), 1 / 11) for b in range(1, 12)]), 1.0),)
         # an empty or a contradicted window counts as the one focal it is
         # decided on
-        empty, contradicted = None, (None, 0.0)
+        empty, contradicted = (), ((None, 0.0),)
         windows = [eleven, two, two, empty, empty, contradicted, empty, empty, two, contradicted]
-        steps = [(float(t), fused) for t, fused in enumerate(windows)]
+        steps = [(float(t), sides) for t, sides in enumerate(windows)]
         blocks = list(scenario_module._blocks(iter(steps)))
         assert [len(b) for b in blocks] == [1, 3, 4, 2]
         assert [step for block in blocks for step in block] == steps
+        # a window of a front and a back counts both sides' focals
+        both = two + two
+        steps = [(float(t), sides) for t, sides in enumerate([both, empty, both, two, empty])]
+        assert [len(b) for b in scenario_module._blocks(iter(steps))] == [2, 2, 1]
 
     def test_named_replays_cover_what_they_name(self):
         for rate in (1.0, 0.9):
@@ -1388,6 +1455,26 @@ class TestEmitTrace:
         assert emit_trace(run_scenario(scenario)) == (
             DATA / "lake_tower_golden.csv"
         ).read_text()
+
+    def test_long_window_golden_trace(self):
+        # replay-fresh seed 1 with 80-s windows, of up to 160 reports, whose
+        # fronts and backs meet on singletons at near-total conflict; printed
+        # when every window was decided on its fused sum
+        scenario = load_scenario((DATA / "fresh_80.json").read_text())
+        assert emit_trace(run_scenario(scenario)) == (DATA / "fresh_80_golden.csv").read_text()
+
+    @pytest.mark.parametrize("window", [20.0, 80.0])
+    @pytest.mark.parametrize("name", ["replay-fresh", "replay-aged"])
+    def test_benchmark_replays_print_their_locked_bytes(self, name, window):
+        # the printed traces of gen.replay_scenario seeds 1 to 20, by SHA-256
+        locked = json.loads((DATA / "replay_trace_sha256.json").read_text())
+        rate = 1.0 if name == "replay-fresh" else 0.99
+        for seed in range(1, 21):
+            rng = random.Random(f"{name}:{seed}")
+            doc = gen.replay_scenario(rng, discount_rate=rate, window=window)
+            trace = emit_trace(run_scenario(load_scenario(gen.dumps(doc))))
+            digest = hashlib.sha256(trace.encode()).hexdigest()
+            assert digest == locked[f"{name}:{seed}/window-{window:g}"], seed
 
     @pytest.mark.parametrize("name", ["wide_40", "wide_40_aged"])
     def test_forty_atom_golden_traces(self, name):
