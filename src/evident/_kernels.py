@@ -56,8 +56,6 @@ empty set's and the singletons' sums are :func:`combine_products`' bits.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
@@ -234,25 +232,11 @@ def class_products(operands: list, n_atoms: int) -> np.ndarray:
 
 def _classes(bits: np.ndarray, n_atoms: int) -> np.ndarray:
     """Each mask's class: 0 when empty, a + 1 when exactly atom a, else n_atoms + 1."""
-    # a lookup is one pass over the masks where the exponent takes six: it
-    # made class_products about 30 % faster on the 16-atom benchmark replay
-    if n_atoms <= 16:
-        return _class_table(n_atoms)[bits.view(np.int64)]
     # uint64 operands throughout: NumPy 1.x casts uint64 with a Python int to
     # float64. A mask of one bit 2**a has bit length a + 1 (frexp's
     # exponent), and 0 has 0
     single = (bits & (bits - np.uint64(1))) == 0
     return np.where(single, np.frexp(bits.astype(np.float64))[1], n_atoms + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _class_table(n_atoms: int) -> np.ndarray:
-    """:func:`_classes` of every mask on up to 16 atoms, 64 kB at most."""
-    table = np.full(1 << n_atoms, n_atoms + 1, dtype=np.uint8)
-    table[0] = 0
-    table[1 << np.arange(n_atoms)] = np.arange(1, n_atoms + 1)
-    table.flags.writeable = False  # shared by every call
-    return table
 
 
 def support_products(

@@ -439,12 +439,7 @@ def test_class_products_on_bit_63():
     assert got[0, 64] > 0.0 and got[0, 1] > 0.0 and got[0, 65] > 0.0
     masks = np.array([0, 1, top, top | 1, top >> 1, (1 << 64) - 1], np.uint64)
     assert K._classes(masks, 64).tolist() == [0, 1, 64, 65, 63, 65]
-
-
-def test_mask_classes_by_table_and_by_exponent_agree():
-    # up to 16 atoms a mask's class is looked up, past it computed
+    # and every mask of a 12-atom frame, against Python's bit length
     masks = np.arange(1 << 12, dtype=np.uint64)
     want = [0 if not m else m.bit_length() if not m & (m - 1) else 13 for m in range(1 << 12)]
     assert K._classes(masks, 12).tolist() == want
-    wide = K._classes(masks, 17).tolist()
-    assert wide == [18 if c == 13 else c for c in want]

@@ -1226,7 +1226,8 @@ def rows_against_decide(scenario: Scenario) -> None:
     loop over the atoms (``decide_oracle``) checks ``decide``. The row's
     conflict, status, reason and hypothesis are ``decide``'s exactly. Its
     intervals are too, but for a window of a front and a back, decided
-    without their sum: those are ``two_sided_bounds`` of the two, bit for bit.
+    without their sum: those are ``two_sided_bounds`` of the two, bit for
+    bit, and ``decide``'s to within 1e-12.
     """
     rows = run_scenario(scenario)
     frame = scenario.frame
@@ -1246,6 +1247,9 @@ def rows_against_decide(scenario: Scenario) -> None:
             bel, pl, kept = bounds or ([0.0] * len(frame), [1.0] * len(frame), 0.0)
             want = tuple(zip(frame.atoms, map(EvidentialInterval, bel, pl)))
             assert row.intervals == want and row.cumulative_conflict == 1.0 - kept
+            # and, apart from the formula, within rounding of the fused sum's
+            for atom, got in row.intervals:
+                assert tuple(got) == pytest.approx(tuple(ranked[atom]), rel=0.0, abs=1e-12)
         else:
             assert row.intervals == tuple((a, ranked[a]) for a in frame.atoms)
         assert (row.cumulative_conflict, row.status, row.reason, row.hypothesis) == (
