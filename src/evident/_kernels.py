@@ -2,11 +2,14 @@
 
 Focal sets are passed as a uint64 bitmask array plus an aligned float64 mass
 array. Every sum here follows one rule: each bin adds its masses in input
-order, starting from 0.0, as a weighted ``np.bincount`` does and as
-``np.add.at`` does, which is unbuffered. A mass of 0.0 added for a row that
-misses a bin leaves the bin as it is, so a sum over a masked array equals the
-sum over the rows the mask keeps, bit for bit, and two kernels that add the
-same rows in the same order agree to the last bit.
+order, starting from 0.0. A sum made in one pass is one weighted
+``np.bincount``; a sum that goes on across chunks adds each chunk into the
+same bins with ``np.add.at``, which is unbuffered. Both add in input order,
+so the chunks add as one bincount would. ``np.add.at`` is fast only on NumPy
+1.25 or later; older NumPy gives the same bits, more slowly. A mass of 0.0
+added for a row that misses a bin leaves the bin as it is, so a sum over a
+masked array equals the sum over the rows the mask keeps, bit for bit, and
+two kernels that add the same rows in the same order agree to the last bit.
 
 :func:`belief_sum` and :func:`plausibility_sum` are the masked sums for one
 target, so their scratch arrays grow with the focal count alone;
@@ -50,8 +53,10 @@ bits or more keeps the step as its upper word.
 
 :func:`class_products` adds the pairwise products of many steps by the
 class of their intersection alone: empty, each singleton, or the rest. It
-needs no grouping, and each class adds its products in pair order, so the
-empty set's and the singletons' sums are :func:`combine_products`' bits.
+needs no grouping: its chunks add into the (step, class) bins with
+``np.add.at``, as the dense :func:`combine_products` adds into its mask
+bins, so each class adds its products in pair order, and the empty set's
+and the singletons' sums are :func:`combine_products`' bits.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ import numpy as np
 # and a chunk takes at least one atom, so past this many rows the kernel
 # holds about 26 bytes a row. A dense chunk holds about 17 bytes a pair
 # beside 9 bytes for each of the 2**n_atoms bins, and takes at least one
-# leading row; a class_products chunk under 100 bytes a pair. On the 16-atom
+# leading row; a class_products chunk about 48 bytes a pair (tracemalloc,
+# the peak's growth from 2**12 to 2**14-pair chunks). On the 16-atom
 # benchmark replays, 2**10 to 2**14 cells made no resolved difference in CPU
 # time, and 2**14 held 0.3 MB more at peak. On fuse-dense, a fold's median
 # read 12.6, 14.8, 14.0 and 19.1 ms at 2**12, 2**13, 2**14 and 2**15 pairs,
@@ -115,7 +121,8 @@ def atom_sums(
     pl = np.empty((n_atoms, n_steps))
     width = min(n_atoms, max(1, _CHUNK_CELLS // max(1, bits.shape[0])))
     # chunk cell (a, i) adds into bin a * n_steps + step[i], in every chunk;
-    # with one atom a chunk, that is step[i], and no copy of it is made
+    # with one atom a chunk, that is step[i] itself: a copy of it would add 8
+    # bytes a row to a replay block's peak
     cells = step if width == 1 else (step + n_steps * np.arange(width)[:, None]).ravel()
     for lo in range(0, n_atoms, width):
         chunk = atom_bits[lo : lo + width, None]
@@ -188,8 +195,9 @@ def class_products(operands: list, n_atoms: int) -> np.ndarray:
 
     The pairs of every step are made and added a chunk of whole ``bits1``
     rows at a time, at most ``_CHUNK_CELLS`` pairs or one row, each pair's
-    class from :func:`_classes`. A chunk's bincount begins from the sums of
-    the step it goes on with, so each bin adds in pair order across chunks.
+    class from :func:`_classes`. Each chunk's products are added into the
+    running (step, class) bins by ``np.add.at``, in pair order, so a step
+    whose pairs span chunks adds as if in one.
     """
     width = n_atoms + 2
     (bits1, w1), (bits2, w2) = [
@@ -205,27 +213,19 @@ def class_products(operands: list, n_atoms: int) -> np.ndarray:
     shift = (np.cumsum(others) - others)[row_step] - (ends - count)
     base = row_step * width
     sums = np.zeros(len(operands) * width)
-    # a chunk's cells and products, after the first step's bins and its sums
-    # so far, so that its bins go on from them
-    size = width + max(_CHUNK_CELLS, int(others.max()))
-    cells, weights = np.empty(size, np.intp), np.empty(size)
-    cells[:width] = np.arange(width)
     lo = 0
     while lo < row_step.shape[0]:
         start = ends[lo] - count[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_CELLS, side="right")))
         c = count[lo:hi]
-        end = width + int(ends[hi - 1] - start)
         other = np.arange(start, ends[hi - 1]) + np.repeat(shift[lo:hi], c)
-        np.multiply(np.repeat(w1[lo:hi], c), w2[other], out=weights[width:end])
+        prod = np.repeat(w1[lo:hi], c) * w2[other]
         inter = np.repeat(bits1[lo:hi], c)
         inter &= bits2[other]
         del other
-        first = base[lo]
-        np.add(_classes(inter, n_atoms), np.repeat(base[lo:hi] - first, c), out=cells[width:end])
-        weights[:width] = sums[first : first + width]
-        chunk = np.bincount(cells[:end], weights=weights[:end])
-        sums[first : first + chunk.shape[0]] = chunk
+        # unbuffered, in index order: a chunk is whole rows of the row-major
+        # pairs, so each bin goes on adding in pair order across chunks
+        np.add.at(sums, _classes(inter, n_atoms) + np.repeat(base[lo:hi], c), prod)
         lo = hi
     return sums.reshape(len(operands), width)
 
