@@ -53,10 +53,12 @@ bits or more keeps the step as its upper word.
 
 :func:`class_products` adds the pairwise products of many steps by the
 class of their intersection alone: empty, each singleton, or the rest. It
-needs no grouping: its chunks add into the (step, class) bins with
-``np.add.at``, as the dense :func:`combine_products` adds into its mask
-bins, so each class adds its products in pair order, and the empty set's
-and the singletons' sums are :func:`combine_products`' bits.
+needs no grouping: it makes each step's pairs as the dense
+:func:`combine_products` does, by broadcasting whole leading rows, collects
+them a chunk of whole steps or leading rows at a time, and adds each chunk
+into the (step, class) bins with ``np.add.at``. So each class adds its
+products in pair order, and the empty set's and the singletons' sums are
+:func:`combine_products`' bits.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ import numpy as np
 # and a chunk takes at least one atom, so past this many rows the kernel
 # holds about 26 bytes a row. A dense chunk holds about 17 bytes a pair
 # beside 9 bytes for each of the 2**n_atoms bins, and takes at least one
-# leading row; a class_products chunk about 48 bytes a pair (tracemalloc,
-# the peak's growth from 2**12 to 2**14-pair chunks). On the 16-atom
-# benchmark replays, 2**10 to 2**14 cells made no resolved difference in CPU
-# time, and 2**14 held 0.3 MB more at peak. On fuse-dense, a fold's median
-# read 12.6, 14.8, 14.0 and 19.1 ms at 2**12, 2**13, 2**14 and 2**15 pairs,
-# each within the others' spread up to 2**14, and 27.3 ms with the whole
-# outer product built (perfbench, 3 to 7 runs of 10 s each, seed 1; a shared
+# leading row; a class_products chunk about 53 bytes a pair (tracemalloc,
+# the peak's growth from 2**12 to 2**14-pair chunks, 16 and 64 atoms, one
+# step of 256 x 256 pairs or 512 of 20 x 40). On the 16-atom benchmark
+# replays, 2**10 to 2**14 cells made no resolved difference in CPU time, and
+# 2**14 held 0.3 MB more at peak. On fuse-dense, a fold's median read 12.6,
+# 14.8, 14.0 and 19.1 ms at 2**12, 2**13, 2**14 and 2**15 pairs, each within
+# the others' spread up to 2**14, and 27.3 ms with the whole outer product
+# built (perfbench, 3 to 7 runs of 10 s each, seed 1; a shared
 # 2-vCPU x86 machine with 2 MB of L2 a core)
 _CHUNK_CELLS = 1 << 12
 
@@ -193,40 +196,35 @@ def class_products(operands: list, n_atoms: int) -> np.ndarray:
     :func:`combine_products` adds each group. So column 0 and the singleton
     columns are its sums of those groups, bit for bit.
 
-    The pairs of every step are made and added a chunk of whole ``bits1``
-    rows at a time, at most ``_CHUNK_CELLS`` pairs or one row, each pair's
-    class from :func:`_classes`. Each chunk's products are added into the
-    running (step, class) bins by ``np.add.at``, in pair order, so a step
-    whose pairs span chunks adds as if in one.
+    A step's pairs are made as the dense :func:`combine_products` makes them,
+    by broadcasting whole ``bits1`` rows against ``bits2``: the whole step
+    when it has at most ``_CHUNK_CELLS`` pairs, else pieces of at most that
+    many pairs or one row. Pieces are collected in step order until they hold
+    ``_CHUNK_CELLS`` pairs, so a chunk holds fewer than twice that many, or
+    than that many and one row. Each chunk is classed by :func:`_classes` and
+    added into the (step, class) bins by one ``np.add.at``, in pair order, so
+    a step whose pairs span chunks adds as if in one.
     """
     width = n_atoms + 2
-    (bits1, w1), (bits2, w2) = [
-        [np.concatenate(column) for column in zip(*side)] for side in zip(*operands)
-    ]
-    row_step = np.repeat(
-        np.arange(len(operands)), [bits.shape[0] for (bits, _), _ in operands]
-    )
-    others = np.array([bits.shape[0] for _, (bits, _) in operands])
-    count = others[row_step]  # the pairs of each bits1 row
-    ends = np.cumsum(count)
-    # pair p of row r pairs with bits2[p + shift[r]]
-    shift = (np.cumsum(others) - others)[row_step] - (ends - count)
-    base = row_step * width
     sums = np.zeros(len(operands) * width)
-    lo = 0
-    while lo < row_step.shape[0]:
-        start = ends[lo] - count[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_CELLS, side="right")))
-        c = count[lo:hi]
-        other = np.arange(start, ends[hi - 1]) + np.repeat(shift[lo:hi], c)
-        prod = np.repeat(w1[lo:hi], c) * w2[other]
-        inter = np.repeat(bits1[lo:hi], c)
-        inter &= bits2[other]
-        del other
-        # unbuffered, in index order: a chunk is whole rows of the row-major
-        # pairs, so each bin goes on adding in pair order across chunks
-        np.add.at(sums, _classes(inter, n_atoms) + np.repeat(base[lo:hi], c), prod)
-        lo = hi
+    base, inter, prod = [], [], []
+    held = 0
+    for k, ((bits1, w1), (bits2, w2)) in enumerate(operands):
+        rows = max(1, _CHUNK_CELLS // bits2.shape[0])
+        for lo in range(0, bits1.shape[0], rows):
+            inter.append((bits1[lo : lo + rows, None] & bits2).ravel())
+            prod.append((w1[lo : lo + rows, None] * w2).ravel())
+            base.append(k * width)
+            held += inter[-1].shape[0]
+            # a chunk ends once full, and at the last piece of the last step
+            if held >= _CHUNK_CELLS or (k == len(operands) - 1 and lo + rows >= bits1.shape[0]):
+                cells = np.repeat(base, [piece.shape[0] for piece in inter])
+                cells += _classes(np.concatenate(inter), n_atoms)
+                # unbuffered, in index order: the pieces are whole rows of
+                # each step's row-major pairs, so each bin goes on adding in
+                # pair order across chunks
+                np.add.at(sums, cells, np.concatenate(prod))
+                base, inter, prod, held = [], [], [], 0
     return sums.reshape(len(operands), width)
 
 

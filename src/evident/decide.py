@@ -130,8 +130,7 @@ def decide(report: CombinationReport, conflict_threshold: float = 0.95) -> Decis
         conflict_threshold, "conflict threshold", DegreeOutOfRange, 0.0, 1.0, lo_open=True
     )
     m = of_type(report, CombinationReport, "decided report").result
-    step = np.zeros(len(m), dtype=np.intp)
-    bel, pl = _singleton_bounds(m.frame, step, m._bits, m._masses, 1)
+    bel, pl = _singleton_bounds(m.frame, [m])
     (intervals,), ((status, reason, hypothesis),) = _decide_block(
         m.frame, bel, pl, [report.conflict], conflict_threshold
     )

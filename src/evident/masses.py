@@ -162,9 +162,7 @@ class MassFunction:
         subset is itself, so its belief is the mass on exactly that atom.
         Each interval equals ``interval(frame.singleton(atom))``, bit for bit.
         """
-        step = np.zeros(len(self), dtype=np.intp)
-        bounds = _singleton_bounds(self.frame, step, self._bits, self._masses, 1)
-        return _intervals(*bounds)[0]
+        return _intervals(*_singleton_bounds(self.frame, [self]))[0]
 
     # -- comparison --------------------------------------------------------------
 
@@ -196,17 +194,19 @@ class MassFunction:
             raise FrameMismatch("proposition belongs to a different frame")
 
 
-def _singleton_bounds(
-    frame: Frame, step: np.ndarray, bits: np.ndarray, masses: np.ndarray, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every atom's belief and plausibility at each step, from flat focal rows.
+def _singleton_bounds(frame: Frame, masses: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every atom's belief and plausibility under each of ``masses``.
 
-    Row i is focal ``bits[i]`` of step ``step[i]`` with mass ``masses[i]``, a
-    step's rows in its mass function's focal order. Returns (bel, pl) arrays
-    of shape (n_steps, atoms), clamped at 1 as :meth:`MassFunction.belief`
-    and :meth:`MassFunction.plausibility` clamp.
+    ``masses`` are mass functions on ``frame``, one a step. Their focals are
+    laid out as flat (step, mask, mass) rows, a step's rows in its focal
+    order, for one :func:`_kernels.atom_sums` call, and the rows are freed on
+    return. Returns (bel, pl) arrays of shape (steps, atoms), clamped at 1 as
+    :meth:`MassFunction.belief` and :meth:`MassFunction.plausibility` clamp.
     """
-    bel, pl = _kernels.atom_sums(step, bits, masses, n_steps, len(frame))
+    step = np.repeat(np.arange(len(masses)), [mass._bits.shape[0] for mass in masses])
+    bits = np.concatenate([mass._bits for mass in masses])
+    weights = np.concatenate([mass._masses for mass in masses])
+    bel, pl = _kernels.atom_sums(step, bits, weights, len(masses), len(frame))
     return np.minimum(bel, 1.0), np.minimum(pl, 1.0)
 
 

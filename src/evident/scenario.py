@@ -648,11 +648,7 @@ def _block_bounds(frame: Frame, windows: list):
     # a step's first side, or the vacuous sum; then each two-sided step's back
     masses = [empty if not sides or sides[0][0] is None else sides[0][0] for sides in windows]
     masses += [windows[k][1][0] for k in two]
-    step = np.repeat(np.arange(len(masses)), [mass._bits.shape[0] for mass in masses])
-    bits = np.concatenate([mass._bits for mass in masses])
-    weights = np.concatenate([mass._masses for mass in masses])
-    bel, pl = _singleton_bounds(frame, step, bits, weights, len(masses))
-    del step, bits, weights
+    bel, pl = _singleton_bounds(frame, masses)
     if two:
         operands = []
         for k in two:

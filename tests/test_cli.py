@@ -118,6 +118,11 @@ class TestRun:
         bad.write_text('{"frame": ["lake", "lake"], "reports": []}')
         assert main(["run", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+        report = {"sensor": "", "t": 0, "focus": ["lake"], "degree": 0.5}
+        doc = {"frame": ["lake"], "reports": [report]}
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 1
+        assert "error: sensor id must be a non-empty string" in capsys.readouterr().err
 
     def test_empty_scenario_is_a_validation_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -288,6 +293,15 @@ class TestRoute:
         out = capsys.readouterr().out
         # with no cut every source polls in, ranked by support
         assert "weather" in out
+
+    def test_a_fragment_no_source_holds_is_unassigned(self, tmp_path, capsys):
+        qpath, spath = tmp_path / "query.json", tmp_path / "sources.json"
+        atoms = [{"op": "atom", "name": name} for name in ("attr0", "attrX")]
+        qpath.write_text(json.dumps({"op": "or", "children": atoms}))
+        spath.write_text(json.dumps([{"id": "s0", "schema": {"attr0": 0.9}}]))
+        assert main(["route", str(qpath), str(spath)]) == 0
+        out = capsys.readouterr().out
+        assert "  attr0 -> s0\n  unassigned: attrX\n  total support: 0.900000\n" in out
 
     def test_empty_shortlist_is_fine(self, route_files, tmp_path, capsys):
         qpath, _ = route_files

@@ -47,7 +47,10 @@ class TestFrame:
 
     def test_value_identity(self):
         assert Frame(["a", "b"]) == Frame(["a", "b"])
+        assert hash(Frame(["a", "b"])) == hash(Frame(["a", "b"]))
         assert Frame(["a", "b"]) != Frame(["b", "a"])
+        with pytest.raises(AttributeError):
+            Frame(["a", "b"]).atoms = ("c",)
 
 
 class TestProposition:
@@ -124,6 +127,19 @@ class TestQueryExpr:
     def test_blank_attribute(self):
         with pytest.raises(InvalidQuery):
             Atom("")
+
+    def test_children_must_be_expressions(self):
+        for build in (And, Or):
+            with pytest.raises(InvalidQuery, match="children must be query expressions"):
+                build(Atom("a"), "b")
+        for sides in ((Atom("a"), "b"), ("a", Atom("b"))):
+            with pytest.raises(InvalidQuery, match="implies takes two query expressions"):
+                Implies(*sides)
+
+    def test_connectives_are_immutable(self):
+        expr = And(Atom("a"), Atom("b"))
+        with pytest.raises(AttributeError):
+            expr.children = (Atom("c"),)
 
     def test_attributes_in_order(self):
         expr = And(Or(Atom("b"), Atom("a")), Atom("b"))

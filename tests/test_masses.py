@@ -203,6 +203,10 @@ class TestSimpleSupport:
         with pytest.raises(EmptyFocus):
             simple_support(lt_frame, lt_frame.empty(), 0.5)
 
+    def test_focus_on_another_frame(self, lt_frame):
+        with pytest.raises(FrameMismatch):
+            simple_support(lt_frame, Frame(["lake", "ridge"]).proposition(["lake"]), 0.5)
+
     def test_degree_out_of_range(self, lt_frame):
         for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(DegreeOutOfRange):
@@ -420,9 +424,11 @@ def test_equality_and_allclose(lt_frame):
     a = mass_new(lt_frame, [(lake, 0.3), (lt_frame.full(), 0.7)])
     b = mass_new(lt_frame, [(lake, 0.3), (lt_frame.full(), 0.7)])
     c = mass_new(lt_frame, [(lake, 0.3 + 1e-13), (lt_frame.full(), 0.7 - 1e-13)])
-    assert a == b
+    assert a == b and hash(a) == hash(b)
     assert a != c
     assert a.allclose(c)
+    with pytest.raises(AttributeError):
+        a.frame = lt_frame
 
 
 def test_focals_are_sorted_and_typed(sample):

@@ -341,6 +341,9 @@ class TestDescriptors:
     def test_blank_id(self):
         with pytest.raises(InvalidSource):
             SourceDescriptor(id="", schema={})
+        for attr in ("", 1):
+            with pytest.raises(InvalidSource, match="blank attribute name"):
+                SourceDescriptor(id="x", schema={attr: 0.5})
 
     def test_checked_schema_is_read_only(self):
         weights = {"a": 0.5}

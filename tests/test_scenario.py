@@ -163,6 +163,16 @@ class TestLoadScenario:
         for time in (-1.0, float("inf"), float("nan")):
             with pytest.raises(InvalidReport):
                 SensorReport("eo", time, frame.proposition(["lake"]), 0.5)
+        with pytest.raises(InvalidReport, match="sensor id"):
+            SensorReport("", 0.0, frame.proposition(["lake"]), 0.5)
+        report = {"sensor": "", "t": 0, "focus": ["lake"], "degree": 0.5}
+        doc = {"frame": ["lake"], "reports": [report]}
+        with pytest.raises(InvalidReport, match="sensor id"):
+            load_scenario(json.dumps(doc))
+        other = Frame(["lake", "tower"])
+        report = SensorReport("eo", 0.0, other.proposition(["lake"]), 0.5)
+        with pytest.raises(FrameMismatch):
+            Scenario(frame=frame, reports=(report,))
 
 
 class TestRunScenario:
