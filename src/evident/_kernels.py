@@ -23,42 +23,42 @@ steps, from flat (step, mask, mass) rows: one step is a mass function's
 atom a over step k's rows, and its scratch is bounded by taking the atoms a
 chunk of at most ``_CHUNK_CELLS`` (row, atom) cells at a time.
 
-:func:`combine_products` pools the products of every focal pair on the pair's
-intersection by one of two groupings, chosen from the input size alone:
+The pair kernels pool the products of focal pairs by a key, each bin adding
+its products in pair order from 0.0, and all three by one routine,
+:func:`_pool`, which takes the products as (key, product) chunks in pair
+order and the size of the key space:
 
-- when the frame's power set is no larger than the pair count
-  (``2**n_atoms <= pairs``), the intersection masks index a dense array of
-  ``2**n_atoms`` bins directly, so no sort is needed. The pairs are made and
-  added a chunk of whole leading rows at a time, at most ``_CHUNK_CELLS``
-  pairs or one row, so the scratch is the bins and one chunk, never the
-  whole outer product. A product that underflows to 0.0 still returns its
-  group, and the zeros are tracked only when the least product can
-  underflow: rounding is monotone, so when it does not, none does;
-- otherwise the masks are sorted into groups by :func:`_grouped`. A key of
-  at most 16 bits (a frame of up to 16 atoms) takes numpy's stable sort of
-  its uint16 cast. A wider one is sorted a digit of 64 - p bits at a time,
-  p the bit length of the row count, each digit with the row's position in
-  its low p bits, by one in-place sort of unique uint64 keys a pass: one
-  pass up to 42 atoms under the pair cap, two on 64 atoms.
+- when the key space is no larger than the products, each chunk is added
+  into that many dense bins by ``np.add.at``, so no sort is needed and the
+  scratch is the bins and one chunk of at most ``_CHUNK_CELLS`` products or
+  one leading row, never all the products. The bins begin at -0.0, so a
+  key that only products of 0.0 land on, as when they underflow, is still
+  told from a key that none lands on by its sign;
+- otherwise the products are made whole and grouped by :func:`_grouped`. A
+  key of at most 16 bits takes numpy's stable sort of its uint16 cast. A
+  wider one is sorted a digit of 64 - p bits at a time, p the bit length of
+  the product count, each digit with the product's position in its low p
+  bits, by one in-place sort of unique uint64 keys a pass: one pass up to
+  42 atoms under the pair cap, two on 64 atoms.
 
-Both return the same arrays bit for bit: groups ascend by mask, and each
-group's products are added in input order.
+Both return the same arrays bit for bit: keys ascend, and each key's
+products are added in pair order. The kernels differ only in their keys and
+chunks:
 
-:func:`support_products` is the same pooling for many sums at once, each of
-an accumulator with a two-focal simple support, as the replays fold many
-steps in lockstep. Its rows are grouped by the key step * 2**n_atoms + mask
-by the same sort, built as one uint64 when it fits, so a 16-atom round of
-up to 128 steps takes one pass and moves only its products. A key of 64
-bits or more keeps the step as its upper word.
-
-:func:`class_products` adds the pairwise products of many steps by the
-class of their intersection alone: empty, each singleton, or the rest. It
-needs no grouping: it makes each step's pairs as the dense
-:func:`combine_products` does, by broadcasting whole leading rows, collects
-them a chunk of whole steps or leading rows at a time, and adds each chunk
-into the (step, class) bins with ``np.add.at``. So each class adds its
-products in pair order, and the empty set's and the singletons' sums are
-:func:`combine_products`' bits.
+- :func:`combine_products` keys the pairs of two focal sets by their
+  intersection, in ``2**n_atoms`` bins, a chunk of whole leading rows of the
+  outer product at a time;
+- :func:`support_products` does so for many sums at once, each of an
+  accumulator with a two-focal simple support, as the replays fold many
+  steps in lockstep. Its key is step * 2**n_atoms + mask, one uint64 when
+  it fits, so a 16-atom round of up to 128 steps sorts in one pass and
+  moves only its products; a key of 64 bits or more keeps the step as its
+  upper word;
+- :func:`class_products` keys each step's pairs by the step and the class
+  of their intersection alone: empty, each singleton, or the rest. Its
+  chunks are whole steps or leading rows, made as :func:`combine_products`
+  makes them, so its empty set's and singletons' sums are those of
+  :func:`combine_products`, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,15 +66,20 @@ from __future__ import annotations
 import numpy as np
 
 
-# Cells one chunk holds at once: (row, atom) cells of atom_sums, focal pairs
-# of the dense combine_products and of class_products. An atom_sums chunk's
-# scratch grows by 17 bytes a cell over about 70 kB of NumPy's cast buffer,
-# and a chunk takes at least one atom, so past this many rows the kernel
-# holds about 26 bytes a row. A dense chunk holds about 17 bytes a pair
-# beside 9 bytes for each of the 2**n_atoms bins, and takes at least one
-# leading row; a class_products chunk about 53 bytes a pair (tracemalloc,
-# the peak's growth from 2**12 to 2**14-pair chunks, 16 and 64 atoms, one
-# step of 256 x 256 pairs or 512 of 20 x 40). On the 16-atom benchmark
+# Cells one chunk holds at once: (row, atom) cells of atom_sums, and the
+# products that _pool adds into dense bins a chunk at a time. An atom_sums
+# chunk's scratch grows by 17 bytes a cell over about 70 kB of NumPy's cast
+# buffer, and a chunk takes at least one atom, so past this many rows the
+# kernel holds about 26 bytes a row. Beside 8 bytes a bin, a dense chunk of
+# combine_products holds about 17 bytes a pair and takes at least one
+# leading row, one of class_products about 53 bytes a pair, and one of
+# support_products about 16 bytes a product (tracemalloc, the peak's growth
+# from 2**12 to 2**14-product chunks, 16 and 64 atoms: one step of 256 x 256
+# pairs or 512 of 20 x 40, and 1 or 4 chains of 2**15 focals on 16 atoms).
+# A dense support round of one chain of 3 x 10**4 to 6 x 10**4 focals on 16
+# atoms ran 10 to 20 % slower at 2**12 products than at 2**14 to 2**18,
+# about 0.3 ms a round, and rounds of 8 and 30 chains alike (in-process CPU
+# time, best of 5; the machine below). On the 16-atom benchmark
 # replays, 2**10 to 2**14 cells made no resolved difference in CPU time, and
 # 2**14 held 0.3 MB more at peak. On fuse-dense, a fold's median read 12.6,
 # 14.8, 14.0 and 19.1 ms at 2**12, 2**13, 2**14 and 2**15 pairs, each within
@@ -138,6 +143,36 @@ def atom_sums(
     return bel.reshape(n_steps, n_atoms), pl.T
 
 
+def _pool(chunks, size: int, rows: int):
+    """The products of ``chunks`` summed per distinct key: (high, low, sums).
+
+    ``chunks(cells)`` yields [high, low, products] chunks of the ``rows``
+    products in pair order, each of at most ``cells`` products or one
+    leading row, so one chunk when ``cells`` is ``rows``. Product i's key is
+    ``high[i] * 2**64 + low[i]``, below ``size``, with high None when every
+    key fits in low; products are non-negative. Returns one row per key that
+    a product lands on, ascending (high None when dense, else as given),
+    each sum adding its products in pair order from 0.0.
+    """
+    if size <= rows:
+        # -0.0 + x is x for every x, and -0.0 + 0.0 is 0.0: bins begun at
+        # -0.0 add as from 0.0, and those that a product lands on, even one
+        # that underflowed to 0.0, are exactly those whose sign bit clears
+        sums = np.full(size, -0.0)
+        for _, key, prod in chunks(_CHUNK_CELLS):
+            # unbuffered, in index order: the chunks come in pair order, so
+            # each bin adds its products in the order one bincount would.
+            # Every key is below size <= rows, so it fits an intp index
+            np.add.at(sums, key.view(np.int64), prod)
+        keys = np.flatnonzero(~np.signbit(sums))
+        return None, keys.astype(np.uint64), sums[keys]
+    if not rows:
+        # np.bincount reads no weights as int64
+        return None, np.zeros(0, np.uint64), np.zeros(0)
+    (whole,) = chunks(rows)
+    return _grouped(whole, (size - 1).bit_length())
+
+
 def combine_products(
     bits1: np.ndarray, w1: np.ndarray, bits2: np.ndarray, w2: np.ndarray, n_atoms: int
 ):
@@ -147,43 +182,19 @@ def combine_products(
     bitmasks (possibly including 0, the conflict group) and the summed
     products landing on each. Each sum adds its products in row-major pair
     order (every pair of ``bits1[0]``, then every pair of ``bits1[1]``, and
-    so on), starting from 0.0.
-
-    When ``2**n_atoms <= pairs``, the products are added into ``2**n_atoms``
-    dense bins a chunk of whole ``bits1`` rows at a time, so the scratch is
-    the bins and one chunk of at most ``_CHUNK_CELLS`` pairs or one row;
-    otherwise the whole outer product is grouped by the sort of
-    :func:`_grouped`, which keeps each group's products in pair order.
+    so on), starting from 0.0. The pairs are made a chunk of whole ``bits1``
+    rows at a time for :func:`_pool`'s ``2**n_atoms`` dense bins, or all at
+    once for its sort.
     """
-    # a Python int, so a 64-atom frame cannot overflow and always sorts
-    bins = 1 << n_atoms
-    if bins <= bits1.shape[0] * bits2.shape[0]:
-        sums = np.zeros(bins)
-        # a product can underflow to 0.0, and its group must still be
-        # returned; products are non-negative, so a bin with a positive
-        # product has a positive sum. Rounding is monotone, so no product is
-        # 0.0 when the least one is not: only then are the bins hit exactly
-        # the bins with a positive sum, and the zeros need no tracking
-        held = np.zeros(bins, dtype=bool)
-        underflows = not float(w1.min()) * float(w2.min()) > 0.0
-        rows = max(1, _CHUNK_CELLS // bits2.shape[0])
+
+    def chunks(cells):
+        rows = max(1, cells // bits2.shape[0])
         for lo in range(0, bits1.shape[0], rows):
-            # every mask is below 2**n_atoms <= pairs, so it fits an intp index
-            index = (bits1[lo : lo + rows, None] & bits2).ravel().view(np.int64)
-            prod = (w1[lo : lo + rows, None] * w2).ravel()
-            # unbuffered, in index order: a chunk is whole rows of the
-            # row-major pairs, so each bin adds its products in the order one
-            # bincount over the whole outer product would
-            np.add.at(sums, index, prod)
-            if underflows:
-                held[index[prod == 0.0]] = True
-        held |= sums > 0.0
-        group_index = np.flatnonzero(held)
-        return group_index.astype(np.uint64), sums[group_index]
-    _, group_bits, group_sums = _grouped(
-        [None, (bits1[:, None] & bits2).ravel(), (w1[:, None] * w2).ravel()], n_atoms
-    )
-    return group_bits, group_sums
+            pairs = slice(lo, lo + rows), None
+            yield [None, (bits1[pairs] & bits2).ravel(), (w1[pairs] * w2).ravel()]
+
+    # a Python int, so a 64-atom frame cannot overflow and always sorts
+    return _pool(chunks, 1 << n_atoms, bits1.shape[0] * bits2.shape[0])[1:]
 
 
 def class_products(operands: list, n_atoms: int) -> np.ndarray:
@@ -196,36 +207,39 @@ def class_products(operands: list, n_atoms: int) -> np.ndarray:
     :func:`combine_products` adds each group. So column 0 and the singleton
     columns are its sums of those groups, bit for bit.
 
-    A step's pairs are made as the dense :func:`combine_products` makes them,
-    by broadcasting whole ``bits1`` rows against ``bits2``: the whole step
-    when it has at most ``_CHUNK_CELLS`` pairs, else pieces of at most that
-    many pairs or one row. Pieces are collected in step order until they hold
-    ``_CHUNK_CELLS`` pairs, so a chunk holds fewer than twice that many, or
-    than that many and one row. Each chunk is classed by :func:`_classes` and
-    added into the (step, class) bins by one ``np.add.at``, in pair order, so
-    a step whose pairs span chunks adds as if in one.
+    A step's pairs are made as :func:`combine_products` makes them, by
+    broadcasting whole ``bits1`` rows against ``bits2``: the whole step when
+    it has at most a chunk's worth of pairs (``_CHUNK_CELLS`` for dense bins,
+    every pair for the sort), else pieces of at most that many pairs or one
+    row. Pieces are collected in step order until they hold a chunk's worth,
+    so a chunk holds fewer than twice that many, or than that many and one
+    row; a pair's key is step * (n_atoms + 2) + class, by :func:`_classes`.
     """
     width = n_atoms + 2
-    sums = np.zeros(len(operands) * width)
-    base, inter, prod = [], [], []
-    held = 0
-    for k, ((bits1, w1), (bits2, w2)) in enumerate(operands):
-        rows = max(1, _CHUNK_CELLS // bits2.shape[0])
-        for lo in range(0, bits1.shape[0], rows):
-            inter.append((bits1[lo : lo + rows, None] & bits2).ravel())
-            prod.append((w1[lo : lo + rows, None] * w2).ravel())
-            base.append(k * width)
-            held += inter[-1].shape[0]
-            # a chunk ends once full, and at the last piece of the last step
-            if held >= _CHUNK_CELLS or (k == len(operands) - 1 and lo + rows >= bits1.shape[0]):
-                cells = np.repeat(base, [piece.shape[0] for piece in inter])
-                cells += _classes(np.concatenate(inter), n_atoms)
-                # unbuffered, in index order: the pieces are whole rows of
-                # each step's row-major pairs, so each bin goes on adding in
-                # pair order across chunks
-                np.add.at(sums, cells, np.concatenate(prod))
-                base, inter, prod, held = [], [], [], 0
-    return sums.reshape(len(operands), width)
+
+    def chunks(cells):
+        base, inter, prod = [], [], []
+        held = 0
+        for k, ((bits1, w1), (bits2, w2)) in enumerate(operands):
+            rows = max(1, cells // bits2.shape[0])
+            for lo in range(0, bits1.shape[0], rows):
+                inter.append((bits1[lo : lo + rows, None] & bits2).ravel())
+                prod.append((w1[lo : lo + rows, None] * w2).ravel())
+                base.append(k * width)
+                held += inter[-1].shape[0]
+                # a chunk ends once full, and at the last piece of the last step
+                if held >= cells or (k == len(operands) - 1 and lo + rows >= bits1.shape[0]):
+                    keys = np.repeat(base, [piece.shape[0] for piece in inter])
+                    keys += _classes(np.concatenate(inter), n_atoms)
+                    yield [None, keys.view(np.uint64), np.concatenate(prod)]
+                    base, inter, prod, held = [], [], [], 0
+
+    size = len(operands) * width
+    pairs = sum(a[0].shape[0] * b[0].shape[0] for a, b in operands)
+    _, keys, sums = _pool(chunks, size, pairs)
+    out = np.zeros(size)
+    out[keys] = sums
+    return out.reshape(len(operands), width)
 
 
 def _classes(bits: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -244,7 +258,7 @@ def support_products(
     focus: np.ndarray,
     degree: np.ndarray,
     n_atoms: int,
-    leads: np.ndarray | None = None,
+    leads: np.ndarray = np.zeros(0, np.intp),
 ):
     """Each accumulator's focals times its simple support, pooled by intersection.
 
@@ -263,40 +277,64 @@ def support_products(
     accumulator-major order instead, as with the accumulator first: the
     first focal's two products, then the second's.
 
-    The products are grouped by :func:`_grouped` on their key
-    step * 2**n_atoms + mask. Below 64 bits it is one uint64, built from the
-    rows as ``(step << n_atoms) | A & focus`` and ``(step << n_atoms) | A``,
-    and the step and the mask are read back off the sorted keys; a key of 64
-    bits or more keeps the step as its upper word. The step returned is an
-    int64 array.
+    The products are pooled by :func:`_pool` on their key
+    step * 2**n_atoms + mask, a chunk of consecutive products at a time.
+    Below 64 bits it is one uint64, made from the rows as
+    ``(A | step << n_atoms) & (focus | step << n_atoms)`` and
+    ``A | step << n_atoms``, and the step and the mask are read back off the
+    keys; a key of 64 bits or more keeps the step as its upper word and is
+    always sorted. The step returned is an int64 array.
     """
-    rows = step.shape[0]
-    # one cast: a gather by an intp index is about twice as fast as by int16
-    index = step.astype(np.intp)
-    n = np.uint64(n_atoms)
-    step_bits = (degree.shape[0] - 1).bit_length()
-    if n_atoms + step_bits < 64:
+    rows, chains, n = step.shape[0], degree.shape[0], np.uint64(n_atoms)
+    if n_atoms + (chains - 1).bit_length() < 64:
         # (A & F) | chain == (A | chain) & (F | chain): the chain's bits lie
         # above the frame's
-        chain = np.arange(degree.shape[0], dtype=np.uint64) << n
-        bits, focus = bits | chain[index], focus | chain
-        high, width = None, n_atoms + step_bits
+        chain, high, size = np.arange(chains, dtype=np.uint64) << n, None, chains << n_atoms
     else:
-        high, width = np.concatenate([step, step]), 64 + step_bits
-    products = [
-        high,
-        np.concatenate([bits & focus[index], bits]),
-        np.concatenate([masses * degree[index], masses * (1.0 - degree)[index]]),
-    ]
-    if leads is not None and leads.shape[0]:
-        # the first focal's product with the whole frame trades places with
-        # the second focal's product with the focus
-        swap = np.concatenate([leads + 1, leads + rows])
-        back = np.concatenate([leads + rows, leads + 1])
-        for column in products[1:]:
-            column[swap] = column[back]
-    del high, bits, index
-    high, keys, sums = _grouped(products, width)
+        chain, high, size = np.zeros(chains, np.uint64), step, chains << 64
+    # product p < rows is row p's with the focus, rows + p row p's with the
+    # whole frame
+    supports = ((focus | chain, degree), (None, 1.0 - degree))
+
+    def chunks(cells):
+        # each row's chain, a gather by an intp index being about twice as
+        # fast as by int16, and its mask with the chain's bits set: made here,
+        # so that a round sorted whole frees them before its sort
+        index = step.astype(np.intp)
+        masks = bits | chain[index]
+
+        def made(at, support, weight, key, prod):
+            # the products of the rows ``at`` with one focal of their
+            # supports, the whole frame (None) keeping each mask. Rows ascend
+            # by chain, so rows of one chain, which take its support as
+            # scalars rather than gathers, are those whose first and last agree
+            i = index[at]
+            i = i[0] if i[0] == i[-1] else i
+            np.bitwise_and(masks[at], masks[at] if support is None else support[i], out=key)
+            np.multiply(masses[at], weight[i], out=prod)
+
+        half = leads.shape[0]
+        if half:
+            # a lead's first focal's product with the whole frame trades
+            # places with its second focal's product with the focus
+            moved = np.concatenate([leads + 1, leads + rows])
+            moved_key, moved_prod = np.empty(2 * half, np.uint64), np.empty(2 * half)
+            made(leads, *supports[1], moved_key[:half], moved_prod[:half])
+            made(leads + 1, *supports[0], moved_key[half:], moved_prod[half:])
+        for lo in range(0, 2 * rows, cells):
+            hi = min(lo + cells, 2 * rows)
+            cut = max(0, min(hi, rows) - lo)
+            key, prod = np.empty(hi - lo, np.uint64), np.empty(hi - lo)
+            parts = slice(lo, lo + cut), slice(lo + cut - rows, hi - rows)
+            for at, support, a, b in zip(parts, supports, (0, cut), (cut, hi - lo)):
+                if a < b:
+                    made(at, *support, key[a:b], prod[a:b])
+            if half:
+                a, b = np.searchsorted(moved, [lo, hi])
+                key[moved[a:b] - lo], prod[moved[a:b] - lo] = moved_key[a:b], moved_prod[a:b]
+            yield [None if high is None else np.concatenate([high[at] for at in parts]), key, prod]
+
+    high, keys, sums = _pool(chunks, size, 2 * rows)
     if high is not None:
         return high.astype(np.int64), keys, sums
     return (keys >> n).view(np.int64), keys & np.uint64((1 << n_atoms) - 1), sums

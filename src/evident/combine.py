@@ -94,14 +94,10 @@ def _summed(m1: MassFunction, m2: MassFunction):
     if m1.frame != m2.frame:
         raise FrameMismatch("cannot combine evidence on different frames")
     _check_pairs(len(m1), len(m2))
-    return _pooled((m1._bits, m1._masses), (m2._bits, m2._masses), len(m1.frame))
-
-
-def _pooled(a, b, n_atoms: int):
-    """:func:`_summed` of two (bits, masses) focal sets, in canonical order."""
+    a, b = (m1._bits, m1._masses), (m2._bits, m2._masses)
     if not _leads(a, b):
         a, b = b, a
-    bits, sums = _kernels.combine_products(*a, *b, n_atoms)
+    bits, sums = _kernels.combine_products(*a, *b, len(m1.frame))
     conflict = 0.0
     if bits.shape[0] and int(bits[0]) == 0:
         conflict = min(float(sums[0]), 1.0)
@@ -109,18 +105,6 @@ def _pooled(a, b, n_atoms: int):
     keep = sums > 0.0
     sums = sums[keep]
     return conflict, bits[keep], sums / _kernels.ordered_total(sums)
-
-
-def _support_rows(focus: int, degree: float, full: int):
-    """(bits, masses) of a simple support on ``focus``, as :func:`simple_support` stores them.
-
-    On the whole frame it stores degree + (1 - degree), which rounds to 1.0
-    for every degree in [0, 1]; an entry of mass 0 is dropped.
-    """
-    if focus == full:
-        degree = 1.0
-    rows = [(b, m) for b, m in ((focus, degree), (full, 1.0 - degree)) if m > 0.0]
-    return np.array([b for b, _ in rows], dtype=np.uint64), np.array([m for _, m in rows])
 
 
 def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
@@ -187,38 +171,33 @@ def _sum_supports(step, bits, masses, focus, degree, n_atoms: int):
     sum none of whose products survives is total conflict and keeps no rows,
     so no later support can revive it: total conflict is absorbing.
 
+    One accumulator or many, the round is one :func:`_kernels.support_products`
+    call: it pools the products in dense (step, mask) bins when those number
+    no more than the products, as a round of few chains of many focals does,
+    and sorts them otherwise, with the same bits either way.
+
     Returns (step, bits, masses, conflict per accumulator). One sum above
     ``MAX_PAIRS`` focal pairs raises :class:`CombinationTooLarge`; how many
     sums to make at once is the caller's to bound.
     """
-    full = (1 << n_atoms) - 1
-    if degree.shape[0] == 1:
-        # one sum: combine's own products, without the sorts that group many
-        support = _support_rows(int(focus[0]), float(degree[0]), full)
-        _check_pairs(bits.shape[0], support[0].shape[0])
-        conflict, bits, masses = _pooled((bits, masses), support, n_atoms)
-        return np.zeros(bits.shape[0], step.dtype), bits, masses, np.array([conflict])
-    dtype = step.dtype
     counts = np.bincount(step, minlength=degree.shape[0])
-    full = np.uint64(full)
-    # a support on the whole frame puts all its mass there (see
-    # _support_rows); one of degree 0 or 1 has one focal
+    full = np.uint64((1 << n_atoms) - 1)
+    # a support on the whole frame puts all its mass there: simple_support
+    # stores degree + (1 - degree), which rounds to 1.0 for every degree in
+    # [0, 1]. One of degree 0 or 1 has one focal
     degree = np.where(focus == full, 1.0, degree)
     focals = np.where((degree == 0.0) | (degree == 1.0), 1, 2)
     worst = int(np.argmax(counts * focals))
     _check_pairs(int(counts[worst]), int(focals[worst]))
-    step, bits, sums = _kernels.support_products(
-        step, bits, masses, focus, degree, n_atoms, _accumulator_leads(
-            counts, focals, bits, masses, focus, degree, full
-        )
-    )
+    leads = _accumulator_leads(counts, focals, bits, masses, focus, degree, full)
+    acc, bits, sums = _kernels.support_products(step, bits, masses, focus, degree, n_atoms, leads)
     empty = bits == 0
     conflict = np.zeros(degree.shape[0])
-    conflict[step[empty]] = np.minimum(sums[empty], 1.0)
+    conflict[acc[empty]] = np.minimum(sums[empty], 1.0)
     live = ~empty & (sums > 0.0)
-    step, bits, sums = step[live], bits[live], sums[live]
-    scaled = sums / np.bincount(step, weights=sums, minlength=degree.shape[0])[step]
-    return step.astype(dtype), bits, scaled, conflict
+    acc, bits, sums = acc[live], bits[live], sums[live]
+    scaled = sums / np.bincount(acc, weights=sums, minlength=degree.shape[0])[acc]
+    return acc.astype(step.dtype), bits, scaled, conflict
 
 
 def _accumulator_leads(counts, focals, bits, masses, focus, degree, full):
@@ -234,14 +213,13 @@ def _accumulator_leads(counts, focals, bits, masses, focus, degree, full):
     first = (np.cumsum(counts) - counts)[pair]
     ours = (bits[first], bits[first + 1], masses[first], masses[first + 1])
     theirs = (focus[pair], np.full(pair.shape[0], full), degree[pair], 1.0 - degree[pair])
-    # bytes compare as big-endian numbers do
-    before = np.zeros(pair.shape[0], dtype=bool)
-    tied = np.ones(pair.shape[0], dtype=bool)
-    for a, b in zip(ours, theirs):
+    # bytes compare as big-endian numbers do; ours order no later than
+    # theirs when, at the first field that differs, if any, ours is less
+    led = np.ones(pair.shape[0], dtype=bool)
+    for a, b in reversed(list(zip(ours, theirs))):
         a, b = a.view(">u8"), b.view(">u8")
-        before |= tied & (a < b)
-        tied &= a == b
-    return first[before | tied]
+        led = (a < b) | ((a == b) & led)
+    return first[led]
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationReport:

@@ -246,9 +246,9 @@ def simple_support(frame: Frame, focus: Proposition, degree: float) -> MassFunct
     Mass ``degree`` goes to the focus and the remainder to the whole frame;
     degree 0 yields the vacuous distribution, degree 1 commits everything.
     """
-    if of_type(focus, Proposition, "support focus").frame != frame:
-        raise FrameMismatch("focus belongs to a different frame")
-    if focus.is_empty:
+    # a focus on another frame is refused by MassFunction, as any focal is,
+    # once the focus and the degree are checked
+    if of_type(focus, Proposition, "support focus").is_empty:
         raise EmptyFocus("a simple support function needs a non-empty focus")
     degree = number(degree, "support degree", DegreeOutOfRange, 0.0, 1.0)
     return MassFunction(frame, [(focus, degree), (frame.full(), 1.0 - degree)])

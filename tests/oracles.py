@@ -66,8 +66,11 @@ def combine_oracle(
 ) -> tuple[dict[frozenset, float], float]:
     """Pairwise-product orthogonal sum over frozensets.
 
-    Returns (normalized focal map, conflict). On total conflict, where no
-    product lands on a non-empty set, the map is empty.
+    Returns (normalized focal map, conflict). The products on non-empty sets
+    are scaled by their own total, as ``combine`` scales them: dividing by
+    1 - conflict instead would cancel near total conflict, where that
+    difference keeps few of its digits. On total conflict, where no product
+    lands on a non-empty set, the map is empty.
     """
     raw: dict[frozenset, float] = {}
     conflict = 0.0
@@ -78,7 +81,8 @@ def combine_oracle(
                 raw[inter] = raw.get(inter, 0.0) + v1 * v2
             else:
                 conflict += v1 * v2
-    return {h: v / (1.0 - conflict) for h, v in raw.items()}, conflict
+    total = math.fsum(raw.values())
+    return {h: v / total for h, v in raw.items()}, conflict
 
 
 def fold_products(maps: list[dict[frozenset, float]]) -> dict[frozenset, float]:

@@ -53,6 +53,17 @@ def lake_tower_pair(frame):
     )
 
 
+def _near_total_conflict():
+    """{lake: 0.999, tower: 0.001} and {tower: 0.001, ridge: 0.999}: only
+    tower's 1e-6 of the products is not in conflict."""
+    frame = Frame(["lake", "tower", "ridge"])
+    lake, tower, ridge = (frame.proposition([a]) for a in frame.atoms)
+    return (
+        mass_new(frame, [(lake, 0.999), (tower, 0.001)]),
+        mass_new(frame, [(tower, 0.001), (ridge, 0.999)]),
+    )
+
+
 class TestConflictMass:
     def test_partial_conflict(self, lt_frame):
         m1, m2 = lake_tower_pair(lt_frame)
@@ -118,11 +129,12 @@ class TestCombine:
         with pytest.raises(FrameMismatch):
             combine(vacuous(lt_frame), vacuous(ltr_frame))
 
-    @given(st.data())
-    def test_matches_pairwise_oracle(self, data):
-        frame = data.draw(frames(max_atoms=5))
-        m1 = data.draw(mass_on(frame))
-        m2 = data.draw(mass_on(frame))
+    @given(frames(max_atoms=5).flatmap(lambda frame: st.tuples(mass_on(frame), mass_on(frame))))
+    # near total conflict: 1 - conflict keeps few digits, so an oracle that
+    # divided by it read 0.99999999997 where the sum is 1
+    @example(_near_total_conflict())
+    def test_matches_pairwise_oracle(self, pair):
+        m1, m2 = pair
         expected, expected_conflict = combine_oracle(focal_map(m1), focal_map(m2))
         if not expected:  # no product lands on a non-empty set
             with pytest.raises(TotalConflict):
@@ -525,8 +537,10 @@ class TestLockstepSum:
         # is 1.0 for every d in [0, 1], so the sum divides by exactly 1
         n_atoms, focus = frame_focus
         full = (1 << n_atoms) - 1
-        want_bits, want_masses = combine_module._support_rows(focus, degree, full)
-        # one accumulator takes the pairwise sum, two the grouped one
+        frame = Frame([f"a{i:02d}" for i in range(n_atoms)])
+        want = simple_support(frame, frame.from_bits(focus), degree)
+        want_bits, want_masses = want._bits, want._masses
+        # one accumulator, and two, as a round of many chains sums them
         for count in (1, 2):
             step, bits, masses, conflict = combine_module._sum_supports(
                 np.arange(count, dtype=np.int16), np.full(count, full, np.uint64),

@@ -189,19 +189,91 @@ def test_support_products_matches_the_pairwise_reference(n_atoms, sizes, seed):
     )
 
 
-def _assert_support_rows_match_the_pairwise_reference(step, bits, masses, focus, degree, n_atoms):
+def _assert_support_rows_match_the_pairwise_reference(
+    step, bits, masses, focus, degree, n_atoms, leads=np.zeros(0, np.intp)
+):
+    # the accumulators whose first rows are in leads come first in their pairs
     full = np.uint64((1 << n_atoms) - 1)
-    got_step, got_bits, got_sums = K.support_products(step, bits, masses, focus, degree, n_atoms)
+    got_step, got_bits, got_sums = K.support_products(
+        step, bits, masses, focus, degree, n_atoms, leads
+    )
     assert np.all(np.diff(got_step) >= 0)
     assert np.array_equal(np.unique(got_step), np.unique(step))
+    led = set(step[leads].tolist())
     for k in np.unique(step).tolist():
         mine, theirs = got_step == k, step == k
-        want_bits, want_sums = grouped_products_oracle(
-            np.array([focus[k], full]), np.array([degree[k], 1.0 - degree[k]]),
-            bits[theirs], masses[theirs],
-        )
+        pairs = [
+            (np.array([focus[k], full]), np.array([degree[k], 1.0 - degree[k]])),
+            (bits[theirs], masses[theirs]),
+        ]
+        first, second = pairs[::-1] if k in led else pairs
+        want_bits, want_sums = grouped_products_oracle(*first, *second)
         assert got_bits[mine].tobytes() == want_bits.tobytes()
         assert got_sums[mine].tobytes() == want_sums.tobytes()
+
+
+def _pool_by(rule):
+    """``K._pool`` taking dense bins, or else the sort, whatever the sizes."""
+    pool = K._pool
+
+    def forced(chunks, size, rows):
+        if rule == "dense":
+            return pool(chunks, size, max(rows, size))
+        # a wider key space only widens the sort's key
+        return pool(chunks, max(size, rows + 1), rows)
+
+    return forced
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_atoms=st.integers(1, 12),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    dust=st.booleans(),
+    chunk_cells=st.sampled_from([1, 7, 64, K._CHUNK_CELLS]),
+)
+# two-focal accumulators, half of them leading their supports
+@example(n_atoms=2, sizes=[2] * 12, seed=0, dust=False, chunk_cells=7)
+@example(n_atoms=3, sizes=[2] * 8, seed=0, dust=False, chunk_cells=7)
+@example(n_atoms=12, sizes=[2, 40, 2, 0, 2], seed=1, dust=True, chunk_cells=64)
+# one step over many chunks
+@example(n_atoms=8, sizes=[40], seed=2, dust=True, chunk_cells=1)
+def test_support_products_dense_bins_match_the_sort(n_atoms, sizes, seed, dust, chunk_cells):
+    # every round through dense bins and through _grouped: the same arrays,
+    # bit for bit, and each step's pairwise reference
+    rng = np.random.default_rng(seed)
+    full = (1 << n_atoms) - 1
+    focals = [np.unique(rng.integers(1, full, size, dtype=np.uint64, endpoint=True)) for size in sizes]
+    steps = len(focals)
+    step = np.repeat(np.arange(steps, dtype=np.int16), [f.shape[0] for f in focals])
+    bits = np.concatenate(focals)
+    masses = rng.random(bits.shape[0])
+    if dust:
+        # products of 2**-1074 by a degree below a half underflow to 0.0
+        masses[::3] = 5e-324
+    focus = rng.integers(1, full, steps, dtype=np.uint64, endpoint=True)
+    focus[::3] = full
+    degree = rng.random(steps)
+    degree[::4] = 0.0
+    degree[2::5] = 1.0
+    first = np.cumsum([0] + [f.shape[0] for f in focals[:-1]])
+    pairs = first[[f.shape[0] == 2 for f in focals]]
+    leads = pairs[rng.random(pairs.shape[0]) < 0.5].astype(np.intp)
+    # a lead whose support is on its first focal A, within its second B,
+    # puts three products on A, and their order shows in the last bit
+    focus[step[leads]] = bits[leads]
+    got = []
+    for rule in ("dense", "sort"):
+        with mock.patch.object(K, "_pool", _pool_by(rule)), mock.patch.object(
+            K, "_CHUNK_CELLS", chunk_cells
+        ):
+            got.append(K.support_products(step, bits, masses, focus, degree, n_atoms, leads))
+            _assert_support_rows_match_the_pairwise_reference(
+                step, bits, masses, focus, degree, n_atoms, leads
+            )
+    for dense, grouped in zip(*got):
+        assert dense.dtype == grouped.dtype and dense.tobytes() == grouped.tobytes()
 
 
 def test_support_rows_of_steps_on_one_mask_stay_apart():

@@ -204,8 +204,15 @@ class TestSimpleSupport:
             simple_support(lt_frame, lt_frame.empty(), 0.5)
 
     def test_focus_on_another_frame(self, lt_frame):
+        other = Frame(["lake", "ridge"])
         with pytest.raises(FrameMismatch):
-            simple_support(lt_frame, Frame(["lake", "ridge"]).proposition(["lake"]), 0.5)
+            simple_support(lt_frame, other.proposition(["lake"]), 0.5)
+        # an empty focus, or a degree out of range, is refused first
+        with pytest.raises(EmptyFocus):
+            simple_support(lt_frame, other.empty(), 0.5)
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DegreeOutOfRange):
+                simple_support(lt_frame, other.proposition(["lake"]), bad)
 
     def test_degree_out_of_range(self, lt_frame):
         for bad in (-0.1, 1.1, float("nan")):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import random
@@ -68,6 +69,12 @@ from .oracles import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "probe", Path(__file__).parent.parent / "tools" / "probe.py"
+)
+probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(probe)
 
 combine_module = importlib.import_module("evident.combine")
 kernels_module = importlib.import_module("evident._kernels")
@@ -606,24 +613,6 @@ def assert_waves_end_at_the_cap(scenario: Scenario, cap: int, monkeypatch) -> No
     assert max(chains for chains, size, _ in capped if size <= cap) > 1
 
 
-def probe_stream(n_atoms: int, width: int) -> Scenario:
-    """``width`` reports 1 s apart, report i on the frame less atom i mod
-    ``n_atoms``, then ``width`` on the whole frame, in a ``width``-s window at
-    rate 0.99: once a window holds ``n_atoms`` of the first reports, its sum
-    holds every non-empty subset of the frame."""
-    rng = random.Random(5)
-    frame = Frame([f"a{i:02d}" for i in range(n_atoms)])
-    full = (1 << n_atoms) - 1
-    reports = tuple(
-        SensorReport(
-            "s", float(i), frame.from_bits(full ^ (1 << i % n_atoms) if i < width else full),
-            rng.uniform(0.3, 0.6),
-        )
-        for i in range(2 * width)
-    )
-    return Scenario(frame, reports, window=float(width), step=1.0, discount_rate=0.99)
-
-
 def _repeating_stream(steps: int, rate: float) -> Scenario:
     """A 0.5-s stream on 16 atoms that repeats one focus per report of its
     40-report window, so every full window holds the same evidence."""
@@ -762,7 +751,7 @@ class TestReplayProperties:
             one_round = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _peak_above_rows(probe_stream(12, 40)) <= 3 * one_round
+        assert _peak_above_rows(probe.probe_stream(12, 40, 0.99)) <= 3 * one_round
 
     def test_benchmark_replays_fold_in_waves_of_many_chains(self, monkeypatch):
         # seed 1's aged replay: 200 steps, each a chain of its own, in two
@@ -1409,6 +1398,34 @@ class TestReplayDecides:
         wide = DECIDE_CASES["64-atoms-bit-63-fresh"]()
         assert len(run_scenario(wide)) > scenario_module._BLOCK_STEPS
         assert any(r.focus.bits >> 63 for r in wide.reports)
+
+
+class TestDenseSupportRounds:
+    """Rounds whose (chain, mask) keys fit dense bins no larger than their
+    products, which no benchmark workload folds."""
+
+    @pytest.mark.parametrize("rate", [0.99, 1.0])
+    def test_probe_rounds_in_dense_bins_match_the_references(self, rate, monkeypatch):
+        # the probe stream on 6 atoms with a 12-s window: its chains' sums
+        # reach all 63 non-empty masks, and then 6 of the 12 rounds of a run
+        # pool their products in dense bins
+        scenario = probe.probe_stream(6, 12, rate)
+        rounds = []
+        pool = kernels_module._pool
+
+        def spy(chunks, size, rows):
+            if chunks.__qualname__.startswith("support_products."):
+                rounds.append(size <= rows)
+            return pool(chunks, size, rows)
+
+        monkeypatch.setattr(kernels_module, "_pool", spy)
+        run_scenario(scenario)
+        assert (len(rounds), sum(rounds)) == (12, 6)
+        if rate == 1.0:
+            assert_matches_two_stacks(scenario)
+        else:
+            assert_aged_matches_pairwise_fold(scenario)
+        rows_against_decide(scenario)
 
 
 class TestEmitTrace:
